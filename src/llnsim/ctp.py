@@ -48,7 +48,6 @@ class CtpNode(LoadngNode):
         self.seq = next_seq(self.seq)
         msg = RouteMsg(MsgKind.RREQ, originator=self.addr,
                        destination=self.addr, seq=self.seq, trigger=True)
-        self.net.trace.append(("ctp_trigger", self.sim.now, self.addr))
         self.send_control(msg, BROADCAST, "rreq_trigger")
         self._schedule_hello()
         # the build flood is planned the moment the trigger goes out
@@ -65,7 +64,6 @@ class CtpNode(LoadngNode):
         msg = RouteMsg(MsgKind.RREQ, originator=self.addr,
                        destination=self.addr, seq=self.seq, build=True,
                        rrep_required=self.ctp.rrep_required)
-        self.net.trace.append(("ctp_build", self.sim.now, self.addr))
         self.send_control(msg, BROADCAST, "rreq_build")
 
     # -- tree construction, router side --------------------------------------
@@ -112,7 +110,6 @@ class CtpNode(LoadngNode):
         neighbors = tuple(sorted(self.neighbor_status))
         msg = RouteMsg(MsgKind.HELLO, originator=self.addr,
                        destination=BROADCAST, hello_neighbors=neighbors)
-        self.net.trace.append(("hello", self.sim.now, self.addr))
         self.send_control(msg, BROADCAST)
 
     def _process_hello(self, m: RouteMsg, prev_hop: int) -> None:
@@ -155,7 +152,6 @@ class CtpNode(LoadngNode):
         self.seq = next_seq(self.seq)
         msg = RouteMsg(MsgKind.RREP, originator=self.addr,
                        destination=self.root_addr, seq=self.seq)
-        self.net.trace.append(("ctp_rrep", self.sim.now, self.addr))
         self.counters["tree_rrep"] += 1
         self._forward_rrep(msg)
 

@@ -17,8 +17,6 @@ DISCOVERY_TIMEOUT = "discovery-timeout"
 BUFFER_OVERFLOW = "buffer-overflow"
 IN_FLIGHT = "in-flight-at-end"
 
-DROP_FATES = (MAC_DROP, NO_ROUTE, DISCOVERY_TIMEOUT, BUFFER_OVERFLOW, IN_FLIGHT)
-
 
 @dataclass(slots=True)
 class PacketRecord:
@@ -67,17 +65,11 @@ class MetricsCollector:
     def control_tx(self, now: int, label: str, node: int, on_air_bytes: int) -> None:
         self.control_log.append((now, label, node, on_air_bytes))
 
-    def close(self, end_ticks: int) -> None:
+    def close(self) -> None:
         """Assign the end-of-run fate to anything still unresolved."""
         for pkt in self.records:
             if pkt.fate is None:
                 pkt.fate = IN_FLIGHT
-
-    def fate_counts(self) -> dict[str, int]:
-        counts = {fate: 0 for fate in (DELIVERED,) + DROP_FATES}
-        for pkt in self.records:
-            counts[pkt.fate] += 1
-        return counts
 
     def assert_conserved(self) -> None:
         """Every created packet has exactly one fate, per direction."""

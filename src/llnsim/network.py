@@ -29,7 +29,6 @@ class RunResult:
     cfg: ScenarioConfig
     report: MetricsReport
     metrics: MetricsCollector
-    trace: list
     nodes: dict
     positions: dict
 
@@ -43,7 +42,6 @@ class Network:
         self.cfg = cfg
         self.sim = Simulator(cfg.seed)
         self.metrics = MetricsCollector(to_ticks(cfg.warmup))
-        self.trace: list[tuple] = []  # protocol milestones, for tests
         self.end_ticks = to_ticks(cfg.duration)
         # generous bound; legitimate paths are far shorter than two laps
         self.hop_limit = 2 * cfg.node_count
@@ -62,6 +60,7 @@ class Network:
             self.medium.add_node(addr, self.positions[addr], engine.receive)
         self.medium.finalize()
         self.schedule = build_traffic_schedule(cfg, self.sim.stream("traffic"))
+        self._ran = False
 
     def _make_engine(self, addr: int):
         backend = self.cfg.backend
@@ -74,6 +73,10 @@ class Network:
     # -- execution -----------------------------------------------------------
 
     def run(self) -> RunResult:
+        """Execute the run; a network runs once, since its clock has moved on."""
+        if self._ran:
+            raise SimulationError("network already ran")
+        self._ran = True
         for addr in sorted(self.nodes):
             self.nodes[addr].start()
         for send in self.schedule:
@@ -82,13 +85,13 @@ class Network:
             self.sim.schedule_at(to_ticks(time_s),
                                  lambda a=addr: self.remove_node(a))
         self.sim.run_until(self.end_ticks)
-        self.metrics.close(self.end_ticks)
+        self.metrics.close()
         self.metrics.assert_conserved()
         for addr, engine in self.nodes.items():
             if not engine.mac.conserved():
                 raise SimulationError(f"MAC conservation violated at node {addr}")
-        return RunResult(self.cfg, self._report(), self.metrics, self.trace,
-                         self.nodes, self.positions)
+        return RunResult(self.cfg, self._report(), self.metrics, self.nodes,
+                         self.positions)
 
     # -- application layer -----------------------------------------------------
 

@@ -49,14 +49,6 @@ class RoutingSet:
     def remove(self, dest: int) -> None:
         self._routes.pop(dest, None)
 
-    def expire(self, now: int) -> list[int]:
-        """Sweep out every tuple past its validity; returns removed dests."""
-        gone = [dest for dest, tup in self._routes.items()
-                if tup.valid_until is not None and tup.valid_until < now]
-        for dest in gone:
-            del self._routes[dest]
-        return gone
-
     def invalidate_via(self, next_hop: int) -> list[int]:
         gone = [dest for dest, tup in self._routes.items()
                 if tup.next_hop == next_hop]

@@ -86,7 +86,6 @@ class Frame:
     msg: object = None
     packet: object = None
     source_route: tuple[int, ...] = ()
-    enqueue_time: int = 0
 
 
 class _Reception:
@@ -118,7 +117,6 @@ class Medium:
         self._links: dict[int, list] = {}
         self._ongoing: dict[int, list] = {}
         self._transmitting: set[int] = set()
-        self.tx_count = 0
 
     def add_node(self, addr: int, position: Position, receive_fn) -> None:
         if addr in self.positions:
@@ -149,9 +147,6 @@ class Medium:
         self.finalize()
         self._links.pop(addr, None)
 
-    def neighbors_of(self, addr: int) -> list[tuple[int, float]]:
-        return [(entry[0], entry[1]) for entry in self._links[addr]]
-
     def airtime_ticks(self, payload_bytes: int) -> int:
         bits = (payload_bytes + LINK_HEADER_BYTES) * 8
         return (bits * TICKS_PER_SECOND) // self.radio.bitrate
@@ -170,7 +165,6 @@ class Medium:
         if sender in self._transmitting:
             raise SimulationError(f"node {sender} is already transmitting")
         self._transmitting.add(sender)
-        self.tx_count += 1
         if self.on_control_tx is not None and frame.kind == KIND_CONTROL:
             self.on_control_tx(self.sim.now, frame.label, sender,
                                frame.payload_bytes + LINK_HEADER_BYTES)
@@ -220,7 +214,7 @@ class NodeMac:
     acked retransmission for unicast frames.  Broadcast goes out once."""
 
     def __init__(self, sim: Simulator, medium: Medium, addr: int,
-                 params: MacParams, on_result=None) -> None:
+                 params: MacParams, on_result) -> None:
         self.sim = sim
         self.medium = medium
         self.addr = addr
@@ -247,7 +241,6 @@ class NodeMac:
         if len(self.queue) >= self.params.queue_capacity:
             self.queue_drops += 1
             return False
-        frame.enqueue_time = self.sim.now
         self.queue.append(frame)
         self.accepted += 1
         if not self.active:
@@ -284,8 +277,7 @@ class NodeMac:
         elif ok:
             self.queue.popleft()
             self.unicast_ok += 1
-            if self.on_result is not None:
-                self.on_result(frame, True)
+            self.on_result(frame, True)
         elif self._retries < self.params.max_retries:
             # a missing ack usually means a collision that carrier sense
             # cannot prevent: two senders hidden from each other released
@@ -302,17 +294,13 @@ class NodeMac:
         else:
             self.queue.popleft()
             self.unicast_fail += 1
-            if self.on_result is not None:
-                self.on_result(frame, False)
+            self.on_result(frame, False)
         self._attempt_no = 0
         self._retries = 0
         if self.queue:
             self.sim.schedule_in(0, self._attempt)
         else:
             self.active = False
-
-    def in_queue(self) -> int:
-        return len(self.queue)
 
     def conserved(self) -> bool:
         """Every admitted frame is resolved or still queued."""

@@ -75,7 +75,6 @@ class RplNode(NodeEngine):
         if self.heard < self.rpl.dio_redundancy_constant:
             msg = RouteMsg(MsgKind.DIO, originator=self.root_addr,
                            destination=BROADCAST, rank=self.rank)
-            self.net.trace.append(("dio", self.sim.now, self.addr))
             self.send_control(msg, BROADCAST)
 
     def _trickle_end(self, epoch: int) -> None:

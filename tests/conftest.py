@@ -2,12 +2,16 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 from llnsim.kernel import to_ticks
 from llnsim.network import Network
 from llnsim.radio import Position, RadioParams, reception_probability
 from llnsim.scenario import (AppSend, CtpParams, LoadngParams, RplParams,
                              ScenarioConfig)
+
+# the published campaign scenario files
+CAMPAIGNS = Path(__file__).resolve().parent.parent / "campaigns"
 
 # perfect links inside the disc; zero beyond; topology-only experiments
 LOSSLESS = RadioParams(p_edge=1.0)
@@ -79,5 +83,11 @@ def control_rows(result, label: str) -> list[tuple[int, str, int, int]]:
     return [row for row in result.metrics.control_log if row[1] == label]
 
 
-def trace_events(result, name: str) -> list[tuple]:
-    return [ev for ev in result.trace if ev[0] == name]
+def root_ticks(result, label: str) -> list[int]:
+    """Ticks at which the concentrator put a control frame of this label on air."""
+    return [row[0] for row in control_rows(result, label) if row[2] == 0]
+
+
+def tree_rreps(result) -> int:
+    """Route reports sent toward the root in answer to tree builds."""
+    return sum(engine.counters["tree_rrep"] for engine in result.nodes.values())

@@ -19,9 +19,9 @@ from llnsim.node import SYM
 from llnsim.radio import Position
 from llnsim.scenario import ConfigError, ScenarioConfig, load_scenario
 
-from conftest import (CALM_CTP, CALM_LOADNG, CALM_RPL, bfs_hops,
+from conftest import (CALM_CTP, CALM_LOADNG, CALM_RPL, CAMPAIGNS, bfs_hops,
                       chain_positions, control_rows, inject, quiet_cfg,
-                      random_connected_positions, trace_events)
+                      random_connected_positions, root_ticks, tree_rreps)
 
 BACKENDS = ("loadng", "loadng-ctp", "rpl")
 GRID_COUNTS = (20, 40, 60)
@@ -60,13 +60,11 @@ def _collect(configs):
     return reports
 
 
+# the gate measures the published campaign files themselves, so the two
+# cannot drift apart
 @pytest.fixture(scope="module")
 def grid():
-    configs = expand_sweep(
-        ScenarioConfig(duration=1800.0),
-        {"backend": ",".join(BACKENDS),
-         "node_count": ",".join(str(n) for n in GRID_COUNTS),
-         "seeds": str(GRID_SEEDS)})
+    configs = expand_sweep(*load_scenario(str(CAMPAIGNS / "grid.ini")))
     start = time.perf_counter()
     reports = _collect(configs)
     wall = time.perf_counter() - start
@@ -75,12 +73,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def distance_line():
-    configs = expand_sweep(
-        ScenarioConfig(node_count=6, topology="distance-line", duration=1800.0),
-        {"backend": ",".join(BACKENDS),
-         "concentrator_distance": "50,250,500",
-         "seeds": str(GRID_SEEDS)})
-    return _collect(configs)
+    return _collect(expand_sweep(*load_scenario(str(CAMPAIGNS / "distance.ini"))))
 
 
 def _mean(reports, attr, backend, **match):
@@ -232,7 +225,7 @@ def test_criterion_07_tree_build_message_counts(ctp_chains):
         triggers = len(control_rows(result, "rreq_trigger"))
         hellos = len(control_rows(result, "hello"))
         builds = len(control_rows(result, "rreq_build"))
-        paths = len(trace_events(result, "ctp_rrep"))
+        paths = tree_rreps(result)
         ok = ok and triggers == n and hellos <= n and builds == n \
             and paths == n - 1
         details.append(f"n={n}: {triggers}/{hellos}/{builds}/{paths}")
@@ -243,8 +236,8 @@ def test_criterion_07_tree_build_message_counts(ctp_chains):
 
 def test_criterion_08_timer_laws(ctp_chains, tmp_path):
     result = ctp_chains[3]
-    trigger = [t for _, t, a in trace_events(result, "ctp_trigger") if a == 0]
-    build = [t for _, t, a in trace_events(result, "ctp_build") if a == 0]
+    trigger = root_ticks(result, "rreq_trigger")
+    build = root_ticks(result, "rreq_build")
     build_ok = (len(trigger) == 1 and len(build) == 1
                 and abs((build[0] - trigger[0]) - 2 * to_ticks(10.0)) <= 1)
 
@@ -260,7 +253,7 @@ def test_criterion_08_timer_laws(ctp_chains, tmp_path):
                     seed=3)
     net = Network(cfg, {0: Position(100.0, 100.0), 1: Position(900.0, 900.0)})
     run = net.run()
-    dios = sorted(t for _, t, a in trace_events(run, "dio") if a == 0)[:3]
+    dios = sorted(root_ticks(run, "dio"))[:3]
     windows = [(1.0, 2.0), (4.0, 6.0), (10.0, 14.0)]
     dio_ok = len(dios) == 3 and all(
         to_ticks(lo) <= t < to_ticks(hi)

@@ -11,6 +11,7 @@ from llnsim.experiment import (expand_sweep, format_summary, run_sweep,
 from llnsim.metrics import CSV_COLUMNS, aggregate
 from llnsim.scenario import ConfigError, ScenarioConfig
 
+from conftest import CAMPAIGNS
 from test_metrics import _report
 
 
@@ -110,6 +111,20 @@ def test_cli_rerun_writes_identical_bytes(tmp_path, capsys):
     assert cli.main(["--scenario", str(ini), "--out", str(second), "--quiet"]) == 0
     capsys.readouterr()
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_cli_runs_the_published_distance_campaign(tmp_path, capsys):
+    out = tmp_path / "distance.csv"
+    # the duration must outlast the 120 s warmup or the run is rejected
+    rc = cli.main(["--scenario", str(CAMPAIGNS / "distance.ini"), "--seeds", "1",
+                   "--duration", "300", "--out", str(out), "--quiet"])
+    assert rc == cli.EXIT_OK
+    capsys.readouterr()
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(r[1], r[2], r[3], r[4]) for r in rows] == [
+        (backend, "6", distance, "1")
+        for backend in ("loadng", "loadng-ctp", "rpl")
+        for distance in ("50.0", "250.0", "500.0")]
 
 
 def test_cli_reports_bad_configuration_on_exit_code_two(tmp_path, capsys):

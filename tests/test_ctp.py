@@ -9,7 +9,7 @@ from llnsim.node import HEARD, SYM
 from llnsim.radio import Position
 
 from conftest import (bfs_hops, chain_positions, control_rows, inject,
-                      quiet_cfg, trace_events)
+                      quiet_cfg, root_ticks, tree_rreps)
 
 
 def _ctp_net(n=3, duration=60.0, seed=1, positions=None, **overrides):
@@ -26,7 +26,7 @@ def test_lone_root_triggers_and_builds_into_silence():
     assert len(control_rows(result, "rreq_trigger")) == 1
     assert len(control_rows(result, "rreq_build")) == 1
     assert len(control_rows(result, "hello")) == 1  # the root's own
-    assert len(trace_events(result, "ctp_rrep")) == 0
+    assert tree_rreps(result) == 0
     assert len(net.nodes[0].routes) == 0
     assert net.nodes[1].trigger_received is False
 
@@ -34,8 +34,8 @@ def test_lone_root_triggers_and_builds_into_silence():
 def test_build_fires_at_exactly_twice_the_traversal_time():
     net = _ctp_net()
     result = net.run()
-    trigger = trace_events(result, "ctp_trigger")[0][1]
-    build = trace_events(result, "ctp_build")[0][1]
+    trigger = root_ticks(result, "rreq_trigger")[0]
+    build = root_ticks(result, "rreq_build")[0]
     assert abs(build - trigger - 2 * to_ticks(10.0)) <= 1
 
 
@@ -68,7 +68,7 @@ def test_chain_tree_matches_bfs_and_counts_one_flood_each():
     assert len(control_rows(result, "rreq_trigger")) == 3
     assert len(control_rows(result, "hello")) == 3
     assert len(control_rows(result, "rreq_build")) == 3
-    assert len(trace_events(result, "ctp_rrep")) == 2
+    assert tree_rreps(result) == 2
 
 
 def test_equal_metric_build_copy_is_not_rebroadcast_again():
@@ -81,7 +81,7 @@ def test_equal_metric_build_copy_is_not_rebroadcast_again():
     assert len(builds) == 4
     assert sum(1 for row in builds if row[2] == 3) == 1
     assert net.nodes[3].counters["tree_rrep"] == 1
-    assert len(trace_events(result, "ctp_rrep")) == 3
+    assert tree_rreps(result) == 3
 
 
 def test_root_gains_a_downward_route_per_sensor():

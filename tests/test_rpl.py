@@ -9,7 +9,7 @@ from llnsim.radio import Position
 
 from conftest import (CALM_RPL, bfs_hops, chain_positions, control_rows,
                       inject, quiet_cfg, random_connected_positions,
-                      trace_events)
+                      root_ticks)
 
 
 def _rpl_net(n=2, duration=60.0, seed=1, positions=None, **overrides):
@@ -78,15 +78,15 @@ def test_dis_resets_a_slow_trickle_but_not_one_at_the_floor():
     assert seen["epoch_after_second"] == seen["epoch"]
     assert seen["heard"] == 0
     # the reset interval spans [100, 102) and fires in its second half
-    fired = [t for _, t, a in trace_events(result, "dio")
-             if a == 0 and to_ticks(100.0) < t <= to_ticks(102.0)]
+    fired = [t for t in root_ticks(result, "dio")
+             if to_ticks(100.0) < t <= to_ticks(102.0)]
     assert len(fired) == 1
 
 
 def test_isolated_root_beacon_windows_follow_doubling_intervals():
     net = _rpl_net(positions=ISOLATED, duration=30.0, seed=3)
     result = net.run()
-    dios = [t for _, t, a in trace_events(result, "dio") if a == 0]
+    dios = root_ticks(result, "dio")
     first, second, third = (to_seconds(t) for t in dios[:3])
     assert 1.0 <= first < 2.0
     assert 4.0 <= second < 6.0
@@ -98,7 +98,7 @@ def test_trickle_fires_exactly_once_per_interval():
     result = net.run()
     # doubling intervals starting at 2 s place fires 1-2, 4-6, 10-14, 22-30,
     # 46-62, 94-126, 190-254, 382-510; the ninth window opens after 600 s
-    assert len([1 for _, t, a in trace_events(result, "dio") if a == 0]) == 8
+    assert len(root_ticks(result, "dio")) == 8
 
 
 def test_root_splices_reported_parents_into_source_routes():

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from llnsim.kernel import to_ticks
+from llnsim.kernel import SimulationError, to_ticks
 from llnsim.metrics import DELIVERED, DOWN, UP
 from llnsim.network import Network
 from llnsim.radio import Position, RadioParams
@@ -181,3 +181,17 @@ def test_cfg_id_groups_seeds_and_splits_configs():
     assert base.cfg_id() == replace(base, seed=99).cfg_id()
     assert base.cfg_id() != replace(base, node_count=21).cfg_id()
     assert base.cfg_id() != replace(base, backend="rpl").cfg_id()
+
+
+@pytest.mark.parametrize("traffic", [True, False])
+def test_a_network_runs_only_once(traffic):
+    net = Network(ScenarioConfig(backend="rpl", node_count=10, duration=300.0,
+                                 traffic_enabled=traffic))
+    net.run()
+    state = (net.sim.now, net.sim.pending(), len(net.metrics.records),
+             len(net.metrics.control_log))
+    # a second call would restart every timer from a clock already at the end
+    with pytest.raises(SimulationError, match="network already ran"):
+        net.run()
+    assert (net.sim.now, net.sim.pending(), len(net.metrics.records),
+            len(net.metrics.control_log)) == state

@@ -34,7 +34,6 @@ class CtpNode(LoadngNode):
         self.trigger_received = self.is_root
         self.build_done = self.is_root
         self.hello_scheduled = False
-        self._rrep_done: set[int] = set()  # build seqs already answered
 
     def start(self) -> None:
         if self.is_root:
@@ -83,10 +82,8 @@ class CtpNode(LoadngNode):
         self.neighbor_status.setdefault(prev_hop, HEARD)
         if m.originator == self.addr:
             return
-        key = (m.originator, m.seq)
-        if key in self.flood_seen:
+        if not self._first_or_better((m.originator, m.seq), 0):
             return  # the trigger is re-broadcast once, improvements or not
-        self.flood_seen[key] = m.hop_count + 1
         self.trigger_received = True
         fwd = m.forwarded()
         delay = to_ticks(draw_uniform(self.rng, 0.0, self.ctp.rreq_max_jitter))
@@ -139,8 +136,7 @@ class CtpNode(LoadngNode):
         delay = to_ticks(draw_uniform(self.rng, 0.0, self.ctp.rreq_max_jitter))
         self.sim.schedule_in(delay,
                              lambda: self._tx_broadcast(fwd, "rreq_build"))
-        if m.rrep_required and m.seq not in self._rrep_done:
-            self._rrep_done.add(m.seq)
+        if m.rrep_required and self._first_or_better((m.originator, m.seq), 0):
             rrep_delay = to_ticks(draw_uniform(self.rng, 0.0,
                                                self.ctp.rreq_max_jitter))
             self.sim.schedule_in(rrep_delay, self._send_tree_rrep)

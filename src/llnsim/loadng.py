@@ -40,7 +40,6 @@ class LoadngNode(NodeEngine):
         self.seq = 0
         self.pending: dict[int, Discovery] = {}
         self.flood_seen: dict[tuple[int, int], int] = {}  # (orig, seq) -> best metric
-        self.replied: dict[tuple[int, int], int] = {}  # best metric answered with a RREP
         self.reply_seq: dict[tuple[int, int], int] = {}
         self.lifetime_ticks = to_ticks(self.params.route_lifetime)
         self.ntt_ticks = to_ticks(self.params.net_traversal_time)
@@ -170,21 +169,22 @@ class LoadngNode(NodeEngine):
             return  # own flood echoed back
         metric = m.hop_count + 1
         self._update_route(m.originator, prev_hop, metric, m.seq, status=HEARD)
-        if m.destination == self.addr:
-            key = (m.originator, m.seq)
-            best = self.replied.get(key)
-            if best is None or metric < best:
-                self.replied[key] = metric
-                self._generate_rrep(m)
-            return
-        key = (m.originator, m.seq)
-        best = self.flood_seen.get(key)
-        if best is not None and metric >= best:
+        if not self._first_or_better((m.originator, m.seq), metric):
             return  # duplicate with no better path
-        self.flood_seen[key] = metric
+        if m.destination == self.addr:
+            self._generate_rrep(m)
+            return
         fwd = m.forwarded()
         delay = to_ticks(draw_uniform(self.rng, 0.0, self.params.rreq_jitter_max))
         self.sim.schedule_in(delay, lambda: self._tx_broadcast(fwd, "rreq"))
+
+    def _first_or_better(self, key: tuple[int, int], metric: int) -> bool:
+        """Record and accept the first copy of a flood, or a strictly better one."""
+        best = self.flood_seen.get(key)
+        if best is not None and metric >= best:
+            return False
+        self.flood_seen[key] = metric
+        return True
 
     def _generate_rrep(self, req: RouteMsg) -> None:
         # improvements re-reply under the same seq so forwarders prefer the

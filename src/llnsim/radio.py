@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .kernel import SimulationError, Simulator, TICKS_PER_SECOND, draw_uniform, to_ticks
 from .messages import BROADCAST
@@ -88,22 +88,15 @@ class Frame:
     source_route: tuple[int, ...] = ()
 
 
-class _Reception:
-    """Tracks one receiver's view of one in-flight frame."""
-
-    __slots__ = ("collided",)
-
-    def __init__(self, collided: bool) -> None:
-        self.collided = collided
-
-
 class Medium:
     """Shared radio channel: static positions, precomputed link probabilities.
 
-    A transmission creates a reception record at every in-range neighbor so
-    carrier sense and collisions work even for frames the neighbor will
-    discard; loss draws are only spent on receivers that could accept the
-    frame (the unicast target, or everyone for broadcast).
+    Each node counts the frames arriving at it now and keeps a stamp that
+    moves whenever a frame starts arriving there or the node starts to
+    transmit; a reception is intact if its receiver was idle at the start
+    and the stamp has not moved by the end.  Every in-range neighbor counts,
+    so carrier sense and collisions see frames it will discard; loss draws
+    are only spent on receivers that could accept the frame.
     """
 
     def __init__(self, sim: Simulator, radio: RadioParams,
@@ -113,9 +106,10 @@ class Medium:
         self.on_control_tx = on_control_tx
         self.positions: dict[int, Position] = {}
         self._receive_fns: dict[int, object] = {}
-        # addr -> list of (nbr, prob, nbr_rng, nbr_receive_fn, nbr_ongoing_list)
+        # addr -> list of (nbr, prob, nbr_rng, nbr_receive_fn), by address
         self._links: dict[int, list] = {}
-        self._ongoing: dict[int, list] = {}
+        self._hearing: dict[int, int] = {}  # frames arriving at the node now
+        self._stamp: dict[int, int] = {}  # moves as a frame or own tx starts
         self._transmitting: set[int] = set()
 
     def add_node(self, addr: int, position: Position, receive_fn) -> None:
@@ -123,7 +117,8 @@ class Medium:
             raise SimulationError(f"duplicate node address {addr}")
         self.positions[addr] = position
         self._receive_fns[addr] = receive_fn
-        self._ongoing[addr] = []
+        self._hearing[addr] = 0
+        self._stamp[addr] = 0
 
     def finalize(self) -> None:
         """Build per-node link tables once all nodes are placed."""
@@ -137,15 +132,17 @@ class Medium:
                 prob = reception_probability(dist, self.radio)
                 if prob > 0.0:
                     links.append((b, prob, self.sim.node_stream(b),
-                                  self._receive_fns[b], self._ongoing[b]))
+                                  self._receive_fns[b]))
             self._links[a] = links
 
     def remove_node(self, addr: int) -> None:
         """Scripted removal: the node stops hearing and being heard."""
         self.positions.pop(addr, None)
         self._receive_fns.pop(addr, None)
-        self.finalize()
-        self._links.pop(addr, None)
+        # links are symmetric, so only the node's neighbors list it; their
+        # lists are replaced, not edited, as frames on the air still use them
+        for nbr, *_ in self._links.pop(addr, ()):
+            self._links[nbr] = [e for e in self._links[nbr] if e[0] != addr]
 
     def airtime_ticks(self, payload_bytes: int) -> int:
         bits = (payload_bytes + LINK_HEADER_BYTES) * 8
@@ -153,7 +150,7 @@ class Medium:
 
     def busy_for(self, addr: int) -> bool:
         """Carrier sense: the node hears an ongoing frame or is on the air itself."""
-        return bool(self._ongoing[addr]) or addr in self._transmitting
+        return self._hearing[addr] > 0 or addr in self._transmitting
 
     def transmit(self, sender: int, frame: Frame, on_done) -> None:
         """Put a frame on the air; on_done(ok) fires when the airtime ends.
@@ -162,40 +159,40 @@ class Medium:
         (always True for broadcast).  The caller must keep the sender's
         radio idle: one frame in flight per node.
         """
-        if sender in self._transmitting:
+        transmitting = self._transmitting
+        if sender in transmitting:
             raise SimulationError(f"node {sender} is already transmitting")
-        self._transmitting.add(sender)
+        transmitting.add(sender)
         if self.on_control_tx is not None and frame.kind == KIND_CONTROL:
             self.on_control_tx(self.sim.now, frame.label, sender,
                                frame.payload_bytes + LINK_HEADER_BYTES)
+        hearing = self._hearing
+        stamp = self._stamp
         # a node cannot decode while it transmits
-        for rec in self._ongoing[sender]:
-            rec.collided = True
-        transmitting = self._transmitting
-        receptions = []
-        for entry in self._links.get(sender, ()):
-            lst = entry[4]
-            busy = bool(lst)
-            if busy:
-                for rec in lst:
-                    rec.collided = True
-            rec = _Reception(busy or entry[0] in transmitting)
-            lst.append(rec)
-            receptions.append((entry, rec))
+        stamp[sender] += 1
+        links = self._links.get(sender, ())
+        marks = []
+        for entry in links:
+            nbr = entry[0]
+            stamp[nbr] += 1
+            marks.append(-1 if hearing[nbr] or nbr in transmitting else stamp[nbr])
+            hearing[nbr] += 1
         airtime = self.airtime_ticks(frame.payload_bytes)
         self.sim.schedule_in(
-            airtime, lambda: self._finish(sender, frame, receptions, on_done))
+            airtime, lambda: self._finish(sender, frame, (links, marks), on_done))
 
     def _finish(self, sender: int, frame: Frame, receptions, on_done) -> None:
         self._transmitting.discard(sender)
+        hearing = self._hearing
+        stamp = self._stamp
         dst = frame.dst
         broadcast = dst == BROADCAST
         ok = broadcast
         deliveries = []
-        for entry, rec in receptions:
-            entry[4].remove(rec)
+        for entry, mark in zip(*receptions):
             nbr = entry[0]
-            if rec.collided or not (broadcast or nbr == dst):
+            hearing[nbr] -= 1
+            if mark != stamp[nbr] or not (broadcast or nbr == dst):
                 continue
             prob = entry[1]
             if prob >= 1.0 or entry[2].random() < prob:
@@ -205,8 +202,7 @@ class Medium:
         # dispatch after the loss draws so handlers cannot perturb them
         for entry in deliveries:
             entry[3](frame, sender)
-        if on_done is not None:
-            on_done(ok)
+        on_done(ok)
 
 
 class NodeMac:

@@ -34,6 +34,9 @@ class CtpNode(LoadngNode):
         self.trigger_received = self.is_root
         self.build_done = self.is_root
         self.hello_scheduled = False
+        # tree floods may take the tree's own traversal time to settle
+        self.hold_ticks = 2 * max(self.ntt_ticks,
+                                  to_ticks(self.ctp.net_traversal_time))
 
     def start(self) -> None:
         if self.is_root:

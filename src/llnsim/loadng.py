@@ -43,6 +43,10 @@ class LoadngNode(NodeEngine):
         self.reply_seq: dict[tuple[int, int], int] = {}
         self.lifetime_ticks = to_ticks(self.params.route_lifetime)
         self.ntt_ticks = to_ticks(self.params.net_traversal_time)
+        # flood keys are forgotten a hold time after they are first recorded,
+        # so an originator's sequence numbers can wrap around safely
+        self.hold_ticks = 2 * self.ntt_ticks
+        self._key_expiry: deque = deque()  # (expiry tick, key), oldest first
 
     # -- data plane ---------------------------------------------------------
 
@@ -180,8 +184,16 @@ class LoadngNode(NodeEngine):
 
     def _first_or_better(self, key: tuple[int, int], metric: int) -> bool:
         """Record and accept the first copy of a flood, or a strictly better one."""
+        now = self.sim.now
+        expiry = self._key_expiry
+        while expiry and expiry[0][0] <= now:
+            old = expiry.popleft()[1]
+            del self.flood_seen[old]
+            self.reply_seq.pop(old, None)
         best = self.flood_seen.get(key)
-        if best is not None and metric >= best:
+        if best is None:
+            expiry.append((now + self.hold_ticks, key))
+        elif metric >= best:
             return False
         self.flood_seen[key] = metric
         return True

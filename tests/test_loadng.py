@@ -1,6 +1,7 @@
 """Reactive discovery: floods, replies, expiry, breaks, and rediscovery."""
 from __future__ import annotations
 
+from llnsim import messages
 from llnsim.kernel import to_ticks
 from llnsim.messages import MsgKind, RouteMsg
 from llnsim.metrics import (BUFFER_OVERFLOW, DELIVERED, DISCOVERY_TIMEOUT,
@@ -8,6 +9,7 @@ from llnsim.metrics import (BUFFER_OVERFLOW, DELIVERED, DISCOVERY_TIMEOUT,
 from llnsim.network import Network
 from llnsim.node import HEARD, SYM, RoutingTuple
 from llnsim.radio import Position
+from llnsim.scenario import ScenarioConfig
 
 from conftest import (CALM_LOADNG, bfs_hops, chain_positions, control_rows,
                       inject, quiet_cfg, random_connected_positions)
@@ -69,6 +71,34 @@ def test_shorter_late_flood_copy_triggers_an_improvement_reply():
     net.run()
     assert net.nodes[4].counters["rrep_originated"] == 2
     assert net.nodes[0].routes.get(4).metric == 2
+
+
+def test_flood_keys_are_forgotten_a_hold_time_after_first_seen():
+    net = _chain_net()
+    node = net.nodes[1]
+    key = (0, 7)
+    assert node.hold_ticks == 2 * node.ntt_ticks
+    assert node._first_or_better(key, 3)
+    assert not node._first_or_better(key, 3)  # equal copy: a duplicate
+    net.sim.run_until(node.hold_ticks - 1)
+    # a better copy is taken but keeps the expiry of the first record
+    assert node._first_or_better(key, 2)
+    assert not node._first_or_better(key, 3)
+    net.sim.run_until(node.hold_ticks)
+    assert node._first_or_better(key, 5)  # forgotten: any copy is new again
+    assert node.flood_seen == {key: 5}
+
+
+def test_reports_survive_sequence_wraparound(monkeypatch):
+    # with a 256-value sequence space the originators wrap within the run;
+    # stale duplicate keys would then swallow fresh floods
+    cfg = ScenarioConfig(backend="loadng", node_count=20, duration=600.0,
+                         seed=1)
+    plain = Network(cfg).run()
+    assert max(e.seq for e in plain.nodes.values()) > 256
+    monkeypatch.setattr(messages, "SEQ_MOD", 256)
+    monkeypatch.setattr(messages, "SEQ_HALF", 128)
+    assert Network(cfg).run().report == plain.report
 
 
 def test_rrep_with_no_reverse_route_is_dropped_and_counted():

@@ -93,6 +93,12 @@ class LoadngNode(NodeEngine):
         else:
             disc.packets.append(pkt)
 
+    def held_packets(self) -> list:
+        held = super().held_packets()
+        for disc in self.pending.values():
+            held.extend(disc.packets)
+        return held
+
     # -- discovery ----------------------------------------------------------
 
     def _originate_rreq(self, dest: int) -> int:

@@ -65,9 +65,12 @@ class MetricsCollector:
     def control_tx(self, now: int, label: str, node: int, on_air_bytes: int) -> None:
         self.control_log.append((now, label, node, on_air_bytes))
 
-    def close(self) -> None:
-        """Assign the end-of-run fate to anything still unresolved."""
-        for pkt in self.records:
+    def close(self, held) -> None:
+        """Give the end-of-run fate to the packets nodes still hold.
+
+        Any other unresolved packet leaked, and assert_conserved aborts.
+        """
+        for pkt in held:
             if pkt.fate is None:
                 pkt.fate = IN_FLIGHT
 

@@ -85,7 +85,8 @@ class Network:
             self.sim.schedule_at(to_ticks(time_s),
                                  lambda a=addr: self.remove_node(a))
         self.sim.run_until(self.end_ticks)
-        self.metrics.close()
+        self.metrics.close([pkt for engine in self.nodes.values()
+                            for pkt in engine.held_packets()])
         self.metrics.assert_conserved()
         for addr, engine in self.nodes.items():
             if not engine.mac.conserved():

@@ -88,6 +88,10 @@ class NodeEngine:
         self.dead = True
         self.mac.dead = True
 
+    def held_packets(self) -> list:
+        """Application packets this node holds: its queued data frames."""
+        return [f.packet for f in self.mac.queue if f.kind == KIND_DATA]
+
     # -- radio glue --------------------------------------------------------
 
     def receive(self, frame: Frame, prev_hop: int) -> None:

@@ -139,6 +139,8 @@ class Medium:
         """Scripted removal: the node stops hearing and being heard."""
         self.positions.pop(addr, None)
         self._receive_fns.pop(addr, None)
+        # it loses the frames it was hearing: a unicast to it is not acked
+        self._stamp[addr] += 1
         # links are symmetric, so only the node's neighbors list it; their
         # lists are replaced, not edited, as frames on the air still use them
         for nbr, *_ in self._links.pop(addr, ()):

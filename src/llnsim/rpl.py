@@ -58,6 +58,9 @@ class RplNode(NodeEngine):
             delay = int(self.rng.random() * to_ticks(self.rpl.dis_interval))
             self.sim.schedule_in(delay, self._send_dis)
 
+    def held_packets(self) -> list:
+        return super().held_packets() + list(self.buffer)
+
     # -- trickle ------------------------------------------------------------
 
     def _trickle_begin(self) -> None:

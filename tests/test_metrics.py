@@ -113,12 +113,42 @@ def test_close_sweeps_unresolved_packets_into_in_flight():
     c = MetricsCollector(0)
     done = c.new_packet(1, 0, 512, UP, "report", 0)
     c.delivered(done, 5)
-    c.new_packet(2, 0, 512, UP, "report", 3)  # never resolves
+    held = c.new_packet(2, 0, 512, UP, "report", 3)  # still held at the end
     with pytest.raises(SimulationError):
         c.assert_conserved()
-    c.close()
+    c.close([held, done])
     c.assert_conserved()
     assert [p.fate for p in c.records] == [DELIVERED, IN_FLIGHT]
+    # a packet no node holds has leaked: it keeps no fate and the check aborts
+    c.new_packet(3, 0, 512, UP, "report", 4)
+    c.close([held])
+    with pytest.raises(SimulationError):
+        c.assert_conserved()
+
+
+def test_a_packet_no_node_holds_aborts_the_run():
+    net = Network(quiet_cfg(node_count=3, duration=30.0, warmup=0.0),
+                  chain_positions(3))
+    net.metrics.new_packet(2, 0, 512, UP, "report", 0)
+    with pytest.raises(SimulationError):
+        net.run()
+
+
+def test_packets_nodes_still_hold_end_in_flight():
+    # node 2 is an island that nobody hears
+    layout = {0: Position(100, 500), 1: Position(250, 500),
+              2: Position(5000, 500)}
+    net = Network(quiet_cfg(node_count=3, duration=20.0, warmup=0.0), layout)
+    inject(net, 1.0, 0, 1, 512, DOWN, "config")  # discovers the route
+    inject(net, 10.0, 0, 1, 512, DOWN, "config")  # keeps it fresh
+    inject(net, 15.0, 0, 2, 512, DOWN, "config")  # waits on a discovery
+    inject(net, 19.995, 0, 1, 512, DOWN, "config")  # queued, on the air
+    fates = [p.fate for p in net.run().metrics.records]
+    assert fates == [DELIVERED, DELIVERED, IN_FLIGHT, IN_FLIGHT]
+    net = Network(quiet_cfg(backend="rpl", node_count=3, duration=20.0,
+                            warmup=0.0), layout)
+    inject(net, 1.0, 2, 0, 512, UP)  # held until a join that never comes
+    assert [p.fate for p in net.run().metrics.records] == [IN_FLIGHT]
 
 
 def _report(**over):

@@ -125,6 +125,26 @@ def test_removed_node_neither_hears_nor_is_heard():
     assert h.macs[0].unicast_fail == 1
 
 
+def test_node_removed_mid_frame_loses_it_and_sends_no_ack():
+    h = Harness({0: Position(0, 0), 1: Position(100, 0)})
+    h.send(0, 1)
+    h.sim.schedule_at(5000, lambda: h.medium.remove_node(1))
+    h.sim.run_until(5_000_000)
+    assert h.received == []
+    assert [ok for _, _, ok in h.resolved] == [False]
+
+
+def test_a_node_that_starts_transmitting_loses_the_frame_it_hears():
+    h = Harness({0: Position(0, 0), 1: Position(100, 0)})
+    done = []
+    h.medium.transmit(0, Frame(0, 1, 512, KIND_DATA, "d"), done.append)
+    h.sim.schedule_at(5000, lambda: h.medium.transmit(
+        1, Frame(1, BROADCAST, 24, KIND_DATA, "b"), lambda ok: None))
+    h.sim.run_until(1_000_000)
+    assert [a for _, a, f in h.received if f.src == 0] == []
+    assert done == [False]
+
+
 def test_hidden_pair_collides_at_common_receiver_only():
     # 0 and 2 cannot hear each other; both reach 1; 3 hears only 0
     h = Harness({0: Position(0, 0), 1: Position(200, 0),

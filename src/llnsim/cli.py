@@ -37,6 +37,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+
+    def progress(done, total, result):
+        if args.quiet:
+            return
+        r = result.report
+        pdr_up = "-" if r.pdr_up is None else f"{r.pdr_up:.4f}"
+        print(f"[{done}/{total}] backend={r.backend} nodes={r.node_count} "
+              f"seed={r.seed} pdr_up={pdr_up} overhead={r.overhead_bps:.1f} B/s",
+              file=sys.stderr)
+
     try:
         if args.scenario:
             cfg, sweep = load_scenario(args.scenario)
@@ -49,22 +59,11 @@ def main(argv=None) -> int:
             cfg = replace(cfg, duration=args.duration)
         if args.seeds is not None:
             sweep["seeds"] = str(args.seeds)
-        configs = expand_sweep(cfg, sweep)
+        # a run can still reject its configuration, e.g. an unplaceable layout
+        results = run_sweep(expand_sweep(cfg, sweep), progress)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-
-    def progress(done, total, result):
-        if args.quiet:
-            return
-        r = result.report
-        pdr_up = "-" if r.pdr_up is None else f"{r.pdr_up:.4f}"
-        print(f"[{done}/{total}] backend={r.backend} nodes={r.node_count} "
-              f"seed={r.seed} pdr_up={pdr_up} overhead={r.overhead_bps:.1f} B/s",
-              file=sys.stderr)
-
-    try:
-        results = run_sweep(configs, progress)
     except SimulationError as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return EXIT_RUN_FAILED

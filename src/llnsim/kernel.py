@@ -1,8 +1,11 @@
-"""Deterministic discrete-event engine with an integer-microsecond clock."""
+"""Deterministic discrete-event engine with an integer-microsecond clock,
+plus the range rule every configuration parameter set shares."""
 from __future__ import annotations
 
 import heapq
+import math
 import random
+from dataclasses import field, fields
 from typing import Callable
 
 TICKS_PER_SECOND = 1_000_000
@@ -19,6 +22,38 @@ def to_seconds(ticks: int) -> float:
 
 class SimulationError(RuntimeError):
     """Fatal logic error inside a run; the run must abort, never limp on."""
+
+
+class ConfigError(ValueError):
+    """Rejected configuration; the CLI maps this to exit code 2."""
+
+
+def bounded(default, lo, *, strict=False, hi=math.inf):
+    """A parameter field whose value must be finite, >= lo (> lo if strict) and <= hi."""
+    return field(default=default, metadata={"bounds": (lo, strict, hi)})
+
+
+class Checked:
+    """Base of the frozen parameter sets: one range rule for every field.
+
+    validate() rejects a bounded field that is not finite or lies outside
+    its bounds, and recurses into nested parameter sets.  Subclasses add
+    their cross-field rules after calling it.
+    """
+
+    def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Checked):
+                value.validate()
+            elif "bounds" in f.metadata:
+                lo, strict, hi = f.metadata["bounds"]
+                if not (math.isfinite(value) and value <= hi
+                        and (value > lo if strict else value >= lo)):
+                    upper = f" and <= {hi}" if hi < math.inf else ""
+                    raise ConfigError(
+                        f"{f.name} must be finite, {'>' if strict else '>='} "
+                        f"{lo}{upper}; got {value!r}")
 
 
 def draw_uniform(rng: random.Random, lo: float, hi: float) -> float:

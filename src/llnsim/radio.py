@@ -12,7 +12,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .kernel import SimulationError, Simulator, TICKS_PER_SECOND, draw_uniform, to_ticks
+from .kernel import (Checked, SimulationError, Simulator, TICKS_PER_SECOND, bounded,
+                     draw_uniform, to_ticks)
 from .messages import BROADCAST
 
 # every frame pays this many bytes of link header on the air
@@ -32,36 +33,18 @@ class Position:
 
 
 @dataclass(frozen=True)
-class RadioParams:
-    range_m: float = 250.0
-    p_edge: float = 0.8  # reception probability at exactly full range
-    bitrate: int = 250_000  # bits per second
-
-    def validate(self) -> None:
-        if self.range_m <= 0:
-            raise ValueError("radio range must be positive")
-        if not 0.0 < self.p_edge <= 1.0:
-            raise ValueError("p_edge must lie in (0, 1]")
-        if self.bitrate <= 0:
-            raise ValueError("bitrate must be positive")
+class RadioParams(Checked):
+    range_m: float = bounded(250.0, 0, strict=True)
+    p_edge: float = bounded(0.8, 0, strict=True, hi=1.0)  # reception chance at full range
+    bitrate: int = bounded(250_000, 0, strict=True)  # bits per second
 
 
 @dataclass(frozen=True)
-class MacParams:
-    max_retries: int = 3
-    backoff_unit: float = 0.00032  # seconds
-    max_backoff_exponent: int = 5
-    queue_capacity: int = 8
-
-    def validate(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff_unit <= 0:
-            raise ValueError("backoff_unit must be positive")
-        if self.max_backoff_exponent < 0:
-            raise ValueError("max_backoff_exponent must be >= 0")
-        if self.queue_capacity < 1:
-            raise ValueError("queue_capacity must be >= 1")
+class MacParams(Checked):
+    max_retries: int = bounded(3, 0)
+    backoff_unit: float = bounded(0.00032, 0, strict=True)  # seconds
+    max_backoff_exponent: int = bounded(5, 0)
+    queue_capacity: int = bounded(8, 1)
 
 
 def reception_probability(distance: float, radio: RadioParams) -> float:

@@ -8,11 +8,12 @@ acks plus 61-byte config pushes every 300 s downward.
 from __future__ import annotations
 
 import configparser
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
 
-from .kernel import draw_uniform, to_ticks
+from .kernel import Checked, ConfigError, bounded, draw_uniform, to_ticks
 from .metrics import DOWN, UP, config_digest
 from .radio import MacParams, Position, RadioParams, reception_probability
 
@@ -27,107 +28,64 @@ MAX_LINE_SPACING = 200.0
 MAX_PLACEMENT_RESAMPLES = 1000
 
 
-class ConfigError(ValueError):
-    """Rejected configuration; the CLI maps this to exit code 2."""
+@dataclass(frozen=True)
+class LoadngParams(Checked):
+    rreq_jitter_max: float = bounded(0.5, 0)  # seconds of flood desync per hop
+    route_lifetime: float = bounded(15.0, 0, strict=True)  # seconds a tuple lives unused
+    net_traversal_time: float = bounded(10.0, 0, strict=True)  # discovery timeout, no retry
+    buffer_capacity: int = bounded(4, 1)  # packets held per destination in discovery
 
 
 @dataclass(frozen=True)
-class LoadngParams:
-    rreq_jitter_max: float = 0.5  # seconds of flood desync per hop
-    route_lifetime: float = 15.0  # seconds a tuple stays valid without use
-    net_traversal_time: float = 10.0  # discovery timeout, no retry
-    buffer_capacity: int = 4  # data packets held per destination during discovery
-
-    def validate(self) -> None:
-        if self.rreq_jitter_max < 0:
-            raise ValueError("rreq_jitter_max must be >= 0")
-        if self.route_lifetime <= 0:
-            raise ValueError("route_lifetime must be positive")
-        if self.net_traversal_time <= 0:
-            raise ValueError("net_traversal_time must be positive")
-        if self.buffer_capacity < 1:
-            raise ValueError("buffer_capacity must be >= 1")
-
-
-@dataclass(frozen=True)
-class CtpParams:
-    net_traversal_time: float = 10.0  # build flood fires at exactly twice this
-    rreq_max_jitter: float = 1.0
-    hello_min_jitter: float = 3.0
-    hello_max_jitter: float = 5.0
+class CtpParams(Checked):
+    net_traversal_time: float = bounded(10.0, 0, strict=True)  # build flood fires at twice this
+    rreq_max_jitter: float = bounded(1.0, 0, strict=True)
+    hello_min_jitter: float = bounded(3.0, 0, strict=True)
+    hello_max_jitter: float = bounded(5.0, 0, strict=True)
     rrep_required: bool = True  # build flood asks every node to report its path
-    rebuild_interval: float = 0.0  # 0 disables periodic re-triggering
+    rebuild_interval: float = bounded(0.0, 0)  # 0 disables periodic re-triggering
 
     def validate(self) -> None:
-        if self.net_traversal_time <= 0:
-            raise ValueError("net_traversal_time must be positive")
-        if self.rreq_max_jitter <= 0:
-            raise ValueError("rreq_max_jitter must be positive")
+        super().validate()
         if self.hello_min_jitter <= 2 * self.rreq_max_jitter:
             # HELLOs must fire after every trigger re-broadcast could have;
             # otherwise the neighbor lists miss late re-broadcasters
-            raise ValueError(
+            raise ConfigError(
                 "hello_min_jitter must exceed twice rreq_max_jitter "
                 f"({self.hello_min_jitter} <= 2 * {self.rreq_max_jitter})")
         if self.hello_max_jitter < self.hello_min_jitter:
-            raise ValueError("hello_max_jitter must be >= hello_min_jitter")
-        if self.rebuild_interval < 0:
-            raise ValueError("rebuild_interval must be >= 0")
+            raise ConfigError("hello_max_jitter must be >= hello_min_jitter")
 
 
 @dataclass(frozen=True)
-class RplParams:
-    dio_interval_min: float = 2.0  # trickle Imin, seconds
-    dio_interval_doublings: int = 20
-    dio_redundancy_constant: int = 1
-    dao_interval: float = 15.0
-    dis_interval: float = 5.0  # unjoined nodes solicit this often
-    buffer_capacity: int = 4  # upward packets held until the node joins
-
-    def validate(self) -> None:
-        if self.dio_interval_min <= 0:
-            raise ValueError("dio_interval_min must be positive")
-        if self.dio_interval_doublings < 0:
-            raise ValueError("dio_interval_doublings must be >= 0")
-        if self.dio_redundancy_constant < 1:
-            raise ValueError("dio_redundancy_constant must be >= 1")
-        if self.dao_interval <= 0:
-            raise ValueError("dao_interval must be positive")
-        if self.dis_interval <= 0:
-            raise ValueError("dis_interval must be positive")
-        if self.buffer_capacity < 1:
-            raise ValueError("buffer_capacity must be >= 1")
+class RplParams(Checked):
+    dio_interval_min: float = bounded(2.0, 0, strict=True)  # trickle Imin, seconds
+    dio_interval_doublings: int = bounded(20, 0)
+    dio_redundancy_constant: int = bounded(1, 1)
+    dao_interval: float = bounded(15.0, 0, strict=True)
+    dis_interval: float = bounded(5.0, 0, strict=True)  # unjoined nodes solicit this often
+    buffer_capacity: int = bounded(4, 1)  # upward packets held until the node joins
 
 
 @dataclass(frozen=True)
-class TrafficProfile:
-    report_bytes: int = 512
-    report_period: float = 60.0
-    upward_ack_bytes: int = 16  # client ack per received downward frame
-    downward_ack_bytes: int = 12  # concentrator ack per received report
-    config_bytes: int = 61
-    config_period: float = 300.0
-
-    def validate(self) -> None:
-        for name in ("report_bytes", "upward_ack_bytes", "downward_ack_bytes",
-                     "config_bytes"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.report_period <= 0:
-            raise ValueError("report_period must be positive")
-        if self.config_period <= 0:
-            raise ValueError("config_period must be positive")
+class TrafficProfile(Checked):
+    report_bytes: int = bounded(512, 0, strict=True)
+    report_period: float = bounded(60.0, 0, strict=True)
+    upward_ack_bytes: int = bounded(16, 0, strict=True)  # client ack per downward frame
+    downward_ack_bytes: int = bounded(12, 0, strict=True)  # concentrator ack per report
+    config_bytes: int = bounded(61, 0, strict=True)
+    config_period: float = bounded(300.0, 0, strict=True)
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Checked):
     backend: str = "loadng"
-    node_count: int = 20
+    node_count: int = bounded(20, 2)
     topology: str = "random-grid"
-    grid_side: float = 1000.0
+    grid_side: float = bounded(1000.0, 0, strict=True)
     concentrator_distance: float = 250.0  # used by distance-line layouts
-    duration: float = 28800.0  # seconds; baseline campaign length
-    warmup: float = 120.0  # metrics ignore packets created before this
+    duration: float = bounded(28800.0, 0, strict=True)  # seconds; baseline campaign length
+    warmup: float = bounded(120.0, 0)  # metrics ignore packets created before this
     seed: int = 1
     traffic_enabled: bool = True
     removals: tuple[tuple[float, int], ...] = ()  # scripted (time_s, addr) failures
@@ -139,42 +97,26 @@ class ScenarioConfig:
     traffic: TrafficProfile = field(default_factory=TrafficProfile)
 
     def validate(self) -> None:
-        try:
-            if self.backend not in BACKENDS:
-                raise ValueError(f"unknown backend {self.backend!r}; "
-                                 f"expected one of {BACKENDS}")
-            if self.topology not in TOPOLOGIES:
-                raise ValueError(f"unknown topology {self.topology!r}; "
-                                 f"expected one of {TOPOLOGIES}")
-            if self.node_count < 2:
-                raise ValueError("node_count must be >= 2")
-            if self.grid_side <= 0:
-                raise ValueError("grid_side must be positive")
-            if self.duration <= 0:
-                raise ValueError("duration must be positive")
-            if not 0 <= self.warmup < self.duration:
-                raise ValueError("warmup must satisfy 0 <= warmup < duration")
-            if self.topology == "distance-line":
-                if self.concentrator_distance <= 0:
-                    raise ValueError("concentrator_distance must be positive")
-                if self.concentrator_distance > self.grid_side:
-                    raise ValueError("concentrator_distance exceeds the field side")
-                spacing = self.concentrator_distance / (self.node_count - 1)
-                if spacing > MAX_LINE_SPACING:
-                    raise ValueError(
-                        f"line spacing {spacing:.0f} m exceeds {MAX_LINE_SPACING:.0f} m; "
-                        "raise node_count to keep the line connected")
-            for time_s, addr in self.removals:
-                if time_s < 0 or not 0 < addr < self.node_count:
-                    raise ValueError(f"bad removal entry ({time_s}, {addr})")
-            self.radio.validate()
-            self.mac.validate()
-            self.loadng.validate()
-            self.ctp.validate()
-            self.rpl.validate()
-            self.traffic.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        super().validate()
+        if self.backend not in BACKENDS:
+            raise ConfigError(f"unknown backend {self.backend!r}; "
+                              f"expected one of {BACKENDS}")
+        if self.topology not in TOPOLOGIES:
+            raise ConfigError(f"unknown topology {self.topology!r}; "
+                              f"expected one of {TOPOLOGIES}")
+        if self.warmup >= self.duration:
+            raise ConfigError("warmup must satisfy 0 <= warmup < duration")
+        if self.topology == "distance-line":
+            if not 0 < self.concentrator_distance <= self.grid_side:
+                raise ConfigError("concentrator_distance must lie in (0, grid_side]")
+            spacing = self.concentrator_distance / (self.node_count - 1)
+            if spacing > MAX_LINE_SPACING:
+                raise ConfigError(
+                    f"line spacing {spacing:.0f} m exceeds {MAX_LINE_SPACING:.0f} m; "
+                    "raise node_count to keep the line connected")
+        for time_s, addr in self.removals:
+            if not 0 <= time_s < math.inf or not 0 < addr < self.node_count:
+                raise ConfigError(f"bad removal entry ({time_s}, {addr})")
 
     def cfg_id(self) -> str:
         """Digest over everything except the seed, so repeat runs group together."""
@@ -286,44 +228,31 @@ def build_traffic_schedule(cfg: ScenarioConfig,
 # scenario file loading: flat INI sections, every key optional
 
 
-_SECTION_TYPES = {
-    "radio": ("radio", RadioParams),
-    "mac": ("mac", MacParams),
-    "loadng": ("loadng", LoadngParams),
-    "ctp": ("ctp", CtpParams),
-    "rpl": ("rpl", RplParams),
-    "traffic": ("traffic", TrafficProfile),
-}
-
-_SCENARIO_KEYS = ("backend", "node_count", "topology", "grid_side",
-                  "concentrator_distance", "duration", "warmup", "seed",
-                  "traffic_enabled", "removals")
-
-
-def _coerce(parser: configparser.ConfigParser, section: str, key: str, default):
-    try:
-        if isinstance(default, bool):
-            return parser.getboolean(section, key)
-        if isinstance(default, int):
-            return parser.getint(section, key)
-        if isinstance(default, float):
-            return parser.getfloat(section, key)
-        return parser.get(section, key)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from None
-
-
-def _load_params(parser: configparser.ConfigParser, section: str, cls):
-    instance = cls()
+def _load_section(parser: configparser.ConfigParser, section: str, params):
+    """params with the section's keys applied; nested parameter sets are not keys."""
     if not parser.has_section(section):
-        return instance
+        return params
+    known = {f.name for f in fields(params)
+             if not isinstance(getattr(params, f.name), Checked)}
     updates = {}
-    known = {f.name for f in fields(cls)}
     for key in parser.options(section):
         if key not in known:
             raise ConfigError(f"unknown key {key!r} in section [{section}]")
-        updates[key] = _coerce(parser, section, key, getattr(instance, key))
-    return replace(instance, **updates)
+        default = getattr(params, key)
+        try:
+            if isinstance(default, tuple):
+                updates[key] = _parse_removals(parser.get(section, key))
+            elif isinstance(default, bool):
+                updates[key] = parser.getboolean(section, key)
+            elif isinstance(default, int):
+                updates[key] = parser.getint(section, key)
+            elif isinstance(default, float):
+                updates[key] = parser.getfloat(section, key)
+            else:
+                updates[key] = parser.get(section, key)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key}: {exc}") from None
+    return replace(params, **updates)
 
 
 def _parse_removals(text: str) -> tuple[tuple[float, int], ...]:
@@ -352,25 +281,14 @@ def load_scenario(path: str) -> tuple[ScenarioConfig, dict]:
     except configparser.Error as exc:
         raise ConfigError(f"malformed scenario file: {exc}") from None
 
-    known_sections = set(_SECTION_TYPES) | {"scenario", "sweep"}
-    for section in parser.sections():
-        if section not in known_sections:
-            raise ConfigError(f"unknown section [{section}]")
-
     cfg = ScenarioConfig()
-    if parser.has_section("scenario"):
-        updates = {}
-        for key in parser.options("scenario"):
-            if key not in _SCENARIO_KEYS:
-                raise ConfigError(f"unknown key {key!r} in section [scenario]")
-            if key == "removals":
-                updates[key] = _parse_removals(parser.get("scenario", key))
-            else:
-                updates[key] = _coerce(parser, "scenario", key,
-                                       getattr(cfg, key))
-        cfg = replace(cfg, **updates)
-    for section, (attr, cls) in _SECTION_TYPES.items():
-        cfg = replace(cfg, **{attr: _load_params(parser, section, cls)})
+    nested = [f.name for f in fields(cfg) if isinstance(getattr(cfg, f.name), Checked)]
+    for section in parser.sections():
+        if section not in {*nested, "scenario", "sweep"}:
+            raise ConfigError(f"unknown section [{section}]")
+    cfg = _load_section(parser, "scenario", cfg)
+    cfg = replace(cfg, **{name: _load_section(parser, name, getattr(cfg, name))
+                          for name in nested})
 
     sweep = dict(parser.items("sweep")) if parser.has_section("sweep") else {}
     cfg.validate()

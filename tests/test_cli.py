@@ -127,9 +127,14 @@ def test_cli_runs_the_published_distance_campaign(tmp_path, capsys):
         for distance in ("50.0", "250.0", "500.0")]
 
 
-def test_cli_reports_bad_configuration_on_exit_code_two(tmp_path, capsys):
+@pytest.mark.parametrize("text", [
+    "[ctp]\nrreq_max_jitter = 1.0\nhello_min_jitter = 1.5\n",
+    # valid on its face, but no layout within the resample budget is connected
+    "[scenario]\nnode_count = 20\nduration = 300\n[radio]\nrange_m = 20\n",
+], ids=["jitter-rule", "unplaceable"])
+def test_cli_reports_bad_configuration_on_exit_code_two(tmp_path, capsys, text):
     ini = tmp_path / "bad.ini"
-    ini.write_text("[ctp]\nrreq_max_jitter = 1.0\nhello_min_jitter = 1.5\n")
+    ini.write_text(text)
     rc = cli.main(["--scenario", str(ini)])
     captured = capsys.readouterr()
     assert rc == cli.EXIT_BAD_CONFIG

@@ -1,16 +1,20 @@
 """Topology generation, traffic schedules, config validation, INI loading."""
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
+from llnsim import cli
 from llnsim.kernel import SimulationError, to_ticks
 from llnsim.metrics import DELIVERED, DOWN, UP
 from llnsim.network import Network
-from llnsim.radio import Position, RadioParams
-from llnsim.scenario import (ConfigError, CtpParams, ScenarioConfig,
+from llnsim.radio import MacParams, Position, RadioParams
+from llnsim.scenario import (ConfigError, CtpParams, LoadngParams, RplParams,
+                             ScenarioConfig, TrafficProfile,
                              build_traffic_schedule, generate_topology,
                              load_scenario)
 
@@ -160,20 +164,59 @@ def test_scenario_file_roundtrip(tmp_path):
 
 
 def test_scenario_file_rejects_unknown_names(tmp_path):
-    bad_key = tmp_path / "a.ini"
-    bad_key.write_text("[scenario]\nnode_cunt = 7\n")
-    with pytest.raises(ConfigError):
-        load_scenario(str(bad_key))
-    bad_section = tmp_path / "b.ini"
-    bad_section.write_text("[rpll]\ndao_interval = 1\n")
-    with pytest.raises(ConfigError):
-        load_scenario(str(bad_section))
-    bad_removals = tmp_path / "c.ini"
-    bad_removals.write_text("[scenario]\nremovals = sixty:3\n")
-    with pytest.raises(ConfigError):
-        load_scenario(str(bad_removals))
+    for text in ("[scenario]\nnode_cunt = 7\n",
+                 "[rpll]\ndao_interval = 1\n",
+                 "[scenario]\nremovals = sixty:3\n",
+                 # a nested section's name and a method name are not keys
+                 "[scenario]\nradio = 1\n",
+                 "[radio]\nvalidate = 3\n"):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            load_scenario(str(path))
     with pytest.raises(ConfigError):
         load_scenario(str(tmp_path / "missing.ini"))
+
+
+@pytest.mark.parametrize("text, argv", [
+    ("[traffic]\nreport_period = nan\n", []),
+    ("[scenario]\nduration = inf\n", []),
+    ("[loadng]\nrreq_jitter_max = nan\n", []),
+    ("[scenario]\nremovals = nan:3\n", []),
+    ("", ["--duration", "nan"]),
+], ids=["report_period", "duration", "rreq_jitter_max", "removals", "cli-duration"])
+def test_non_finite_values_are_rejected(tmp_path, capsys, text, argv):
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    assert cli.main(["--scenario", str(path), "--quiet", *argv]) == cli.EXIT_BAD_CONFIG
+    assert "configuration error:" in capsys.readouterr().err
+
+
+def test_every_numeric_knob_declares_its_bounds():
+    # a knob without bounds would accept nan, inf and out-of-range values
+    unchecked = {("ScenarioConfig", "seed"),
+                 ("ScenarioConfig", "concentrator_distance")}  # line layouts only
+    for cls in (RadioParams, MacParams, LoadngParams, CtpParams, RplParams,
+                TrafficProfile, ScenarioConfig):
+        for f in fields(cls):
+            if type(getattr(cls(), f.name)) not in (int, float):
+                continue
+            if (cls.__name__, f.name) in unchecked:
+                assert "bounds" not in f.metadata
+                continue
+            assert "bounds" in f.metadata, f"{cls.__name__}.{f.name}"
+            with pytest.raises(ConfigError, match=f.name):
+                replace(cls(), **{f.name: math.nan}).validate()
+
+
+def test_readme_scenario_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.ini"
+    path.write_text(example)
+    cfg, sweep = load_scenario(str(path))
+    assert cfg.removals == ((600.0, 7), (900.0, 12))
+    assert sweep["seeds"] == "10"
 
 
 def test_cfg_id_groups_seeds_and_splits_configs():

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import hashlib
 import statistics
+from array import array
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .kernel import SimulationError, to_seconds
@@ -34,13 +36,54 @@ class PacketRecord:
     hops: int = 0  # forwarding hops consumed so far
 
 
+ControlRow = tuple[int, str, int, int]  # (tick, label, node, on-air bytes)
+
+
+class ControlLog:
+    """One row per control frame put on air, held in typed columns.
+
+    A row takes 17 bytes of column storage; the (tick, label, node, bytes)
+    tuple of a row exists only while someone iterates.  Labels are stored as
+    small ids into the list of distinct labels.  A value out of its
+    column's range (a 257th label, a node or size past 2**31) raises
+    OverflowError, which aborts the run, rather than wrapping.
+    """
+
+    __slots__ = ("_ticks", "_label_ids", "_nodes", "_sizes", "_labels", "_ids")
+
+    def __init__(self) -> None:
+        self._ticks = array("q")
+        self._label_ids = array("B")
+        self._nodes = array("i")
+        self._sizes = array("i")
+        self._labels: list[str] = []  # label id -> label
+        self._ids: dict[str, int] = {}
+
+    def append(self, now: int, label: str, node: int, on_air_bytes: int) -> None:
+        lid = self._ids.get(label)
+        if lid is None:
+            lid = self._ids[label] = len(self._labels)
+            self._labels.append(label)
+        self._ticks.append(now)
+        self._label_ids.append(lid)
+        self._nodes.append(node)
+        self._sizes.append(on_air_bytes)
+
+    def __len__(self) -> int:
+        return len(self._ticks)
+
+    def __iter__(self) -> Iterator[ControlRow]:
+        return zip(self._ticks, map(self._labels.__getitem__, self._label_ids),
+                   self._nodes, self._sizes)
+
+
 class MetricsCollector:
     """Gathers packet records and a timestamped control-transmission log."""
 
     def __init__(self, warmup_ticks: int) -> None:
         self.warmup_ticks = warmup_ticks
         self.records: list[PacketRecord] = []
-        self.control_log: list[tuple[int, str, int, int]] = []  # (tick, label, node, bytes)
+        self.control_log = ControlLog()
         self._next_pid = 0
 
     def new_packet(self, src: int, dst: int, payload_bytes: int,
@@ -61,9 +104,6 @@ class MetricsCollector:
         if pkt.fate is not None:
             raise SimulationError(f"packet {pkt.pid} resolved twice")
         pkt.fate = fate
-
-    def control_tx(self, now: int, label: str, node: int, on_air_bytes: int) -> None:
-        self.control_log.append((now, label, node, on_air_bytes))
 
     def close(self, held) -> None:
         """Give the end-of-run fate to the packets nodes still hold.
@@ -116,7 +156,7 @@ def avg_delay(records: list[PacketRecord], direction: str,
     return to_seconds(total) / n
 
 
-def overhead_rate(control_log: list[tuple[int, str, int, int]],
+def overhead_rate(control_log: Iterable[ControlRow],
                   warmup_ticks: int, end_ticks: int) -> float:
     """Control bytes put on the air per second, measured after warmup."""
     duration = to_seconds(end_ticks - warmup_ticks)

@@ -52,7 +52,7 @@ class Network:
                 raise SimulationError("positions must cover 0..node_count-1")
             self.positions = dict(positions)
         self.medium = Medium(self.sim, cfg.radio,
-                             on_control_tx=self.metrics.control_tx)
+                             on_control_tx=self.metrics.control_log.append)
         self.nodes: dict[int, object] = {}
         for addr in sorted(self.positions):
             engine = self._make_engine(addr)

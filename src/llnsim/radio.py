@@ -41,9 +41,9 @@ class RadioParams(Checked):
 
 @dataclass(frozen=True)
 class MacParams(Checked):
-    max_retries: int = bounded(3, 0)
+    max_retries: int = bounded(3, 0, hi=7)  # IEEE 802.15.4 macMaxFrameRetries
     backoff_unit: float = bounded(0.00032, 0, strict=True)  # seconds
-    max_backoff_exponent: int = bounded(5, 0)
+    max_backoff_exponent: int = bounded(5, 0, hi=8)  # IEEE 802.15.4 macMaxBE
     queue_capacity: int = bounded(8, 1)
 
 

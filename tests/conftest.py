@@ -5,6 +5,7 @@ import random
 from pathlib import Path
 
 from llnsim.kernel import to_ticks
+from llnsim.metrics import ControlRow
 from llnsim.network import Network
 from llnsim.radio import Position, RadioParams, reception_probability
 from llnsim.scenario import (AppSend, CtpParams, LoadngParams, RplParams,
@@ -79,7 +80,7 @@ def random_connected_positions(n: int, seed: int,
             return pos
 
 
-def control_rows(result, label: str) -> list[tuple[int, str, int, int]]:
+def control_rows(result, label: str) -> list[ControlRow]:
     return [row for row in result.metrics.control_log if row[1] == label]
 
 

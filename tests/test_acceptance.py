@@ -300,7 +300,7 @@ def test_criterion_10_traffic_free_signatures():
         cfg = ScenarioConfig(backend=backend, **base)
         quiet[backend] = run_scenario(cfg)
     loadng_silent = (quiet["loadng"].report.overhead_bps == 0.0
-                     and quiet["loadng"].metrics.control_log == [])
+                     and len(quiet["loadng"].metrics.control_log) == 0)
     rpl_active = quiet["rpl"].report.overhead_bps > 0.0
     ctp_log = quiet["loadng-ctp"].metrics.control_log
     ctp_windowed = (quiet["loadng-ctp"].report.overhead_bps > 0.0

@@ -131,7 +131,11 @@ def test_cli_runs_the_published_distance_campaign(tmp_path, capsys):
     "[ctp]\nrreq_max_jitter = 1.0\nhello_min_jitter = 1.5\n",
     # valid on its face, but no layout within the resample budget is connected
     "[scenario]\nnode_count = 20\nduration = 300\n[radio]\nrange_m = 20\n",
-], ids=["jitter-rule", "unplaceable"])
+    # beyond IEEE 802.15.4's macMaxBE and macMaxFrameRetries; the backoff
+    # window 1 << (exponent + retries) would overflow or outlast any run
+    "[scenario]\nnode_count = 5\nduration = 300\n[mac]\nmax_backoff_exponent = 2000\n",
+    "[scenario]\nnode_count = 5\nduration = 300\n[mac]\nmax_retries = 2000\n",
+], ids=["jitter-rule", "unplaceable", "backoff-exponent", "retries"])
 def test_cli_reports_bad_configuration_on_exit_code_two(tmp_path, capsys, text):
     ini = tmp_path / "bad.ini"
     ini.write_text(text)

@@ -252,7 +252,7 @@ def test_flood_hearsay_neither_degrades_nor_refreshes_a_confirmed_route():
 def test_idle_reactive_network_transmits_nothing():
     net = _chain_net(duration=600.0)
     result = net.run()
-    assert result.metrics.control_log == []
+    assert len(result.metrics.control_log) == 0
     assert result.report.overhead_bps == 0.0
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import statistics
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -10,9 +11,9 @@ import pytest
 from llnsim.kernel import SimulationError, to_seconds, to_ticks
 from llnsim.metrics import (AGGREGATE_METRICS, CSV_COLUMNS, DELIVERED,
                             DISCOVERY_TIMEOUT, DOWN, IN_FLIGHT, MAC_DROP, UP,
-                            MetricsCollector, MetricsReport, aggregate,
-                            avg_delay, config_digest, overhead_rate, pdr,
-                            report_row)
+                            ControlLog, MetricsCollector, MetricsReport,
+                            aggregate, avg_delay, config_digest,
+                            overhead_rate, pdr, report_row)
 from llnsim.network import Network
 from llnsim.radio import Position
 
@@ -97,6 +98,65 @@ def test_overhead_rate_filters_warmup_and_rejects_empty_windows():
     assert overhead_rate([], WARM, to_ticks(240.0)) == 0.0
     with pytest.raises(SimulationError):
         overhead_rate(log, WARM, WARM)
+
+
+def _control_log(rows):
+    log = ControlLog()
+    for row in rows:
+        log.append(*row)
+    return log
+
+
+def test_control_log_reads_back_the_rows_it_was_given():
+    # ticks past 2**31 (an 8 h run ends at 2.88e10) and a label first seen late
+    rows = [(to_ticks(t), label, node, size)
+            for t, label, node, size in [
+                (0.5, "dio", 0, 66), (1.0, "dis", 7, 20), (2200.0, "dio", 3, 66),
+                (28_799.9, "dao", 59, 46), (28_800.0, "dao_ack", 0, 20),
+                (28_800.0, "dio", 2, 66)]]
+    log = _control_log(rows)
+    assert len(log) == len(rows)
+    assert list(log) == rows
+    assert list(log) == rows  # iterating does not consume the log
+    assert len(ControlLog()) == 0 and list(ControlLog()) == []
+
+
+@pytest.mark.parametrize("row", [(6, "rrep", 2**31, 40), (6, "rrep", 2, 2**31),
+                                 (2**63, "rrep", 2, 40)],
+                         ids=["node", "size", "tick"])
+def test_control_log_refuses_values_it_cannot_hold(row):
+    with pytest.raises(OverflowError):
+        ControlLog().append(*row)
+
+
+def test_control_log_refuses_a_257th_label():
+    log = _control_log([(i, f"label{i}", 0, 1) for i in range(256)])
+    with pytest.raises(OverflowError):
+        log.append(256, "label256", 0, 1)
+
+
+def test_overhead_rate_is_the_same_on_a_control_log():
+    rows = [(0, "dio", 0, 50), (WARM, "dao", 0, 30),
+            (to_ticks(180.0), "dio", 1, 10), (to_ticks(200.0), "dis", 4, 7)]
+    end = to_ticks(240.0)
+    assert (overhead_rate(_control_log(rows), WARM, end)
+            == overhead_rate(rows, WARM, end) == (30 + 10 + 7) / 120)
+
+
+def test_control_log_holds_a_row_in_at_most_24_bytes():
+    # the tuple-per-row log it replaced took about 112 B per row
+    n = 100_000
+    log = ControlLog()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(n):
+            log.append(to_ticks(28_000.0) + i, "dao", i % 60, 46)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(log) == n
+    assert grown / n <= 24
 
 
 def test_collector_rejects_double_resolution():

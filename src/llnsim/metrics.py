@@ -4,7 +4,8 @@ from __future__ import annotations
 import hashlib
 import statistics
 from array import array
-from collections.abc import Iterable, Iterator
+from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .kernel import SimulationError, to_seconds
@@ -39,6 +40,15 @@ class PacketRecord:
 ControlRow = tuple[int, str, int, int]  # (tick, label, node, on-air bytes)
 
 
+def _name_id(name: str, ids: dict[str, int], names: list[str]) -> int:
+    """The small id of name, the next free one when name is new."""
+    nid = ids.get(name)
+    if nid is None:
+        nid = ids[name] = len(names)
+        names.append(name)
+    return nid
+
+
 class ControlLog:
     """One row per control frame put on air, held in typed columns.
 
@@ -60,12 +70,8 @@ class ControlLog:
         self._ids: dict[str, int] = {}
 
     def append(self, now: int, label: str, node: int, on_air_bytes: int) -> None:
-        lid = self._ids.get(label)
-        if lid is None:
-            lid = self._ids[label] = len(self._labels)
-            self._labels.append(label)
         self._ticks.append(now)
-        self._label_ids.append(lid)
+        self._label_ids.append(_name_id(label, self._ids, self._labels))
         self._nodes.append(node)
         self._sizes.append(on_air_bytes)
 
@@ -77,33 +83,143 @@ class ControlLog:
                    self._nodes, self._sizes)
 
 
+# id 0: the packet has no fate yet
+_FATE_BY_ID = (None, DELIVERED, MAC_DROP, NO_ROUTE, DISCOVERY_TIMEOUT,
+               BUFFER_OVERFLOW, IN_FLIGHT)
+_FATE_IDS = {fate: fid for fid, fate in enumerate(_FATE_BY_ID) if fate}
+_DELIVERED_ID = _FATE_IDS[DELIVERED]
+
+
+class PacketLog(Sequence):
+    """Every application packet of a run, indexed by pid, in typed columns.
+
+    A packet's PacketRecord lives in ``live`` until settle gives it a fate;
+    then its row is written and the object released, so a settled packet
+    takes about 35 bytes of column storage.  Reading the log returns the
+    live object for an unresolved packet and a fresh PacketRecord for a
+    settled one; a slice is a list.  Direction and kind are stored as small
+    ids into the list of distinct names, the fate as one of six ids.  A
+    value out of its column's range raises OverflowError, as in ControlLog.
+    """
+
+    __slots__ = ("live", "_src", "_dst", "_payload", "_direction", "_kind",
+                 "_created", "_delivered", "_fate", "_hops", "_names", "_ids")
+
+    def __init__(self) -> None:
+        self.live: dict[int, PacketRecord] = {}
+        self._src = array("i")
+        self._dst = array("i")
+        self._payload = array("i")
+        self._direction = array("B")
+        self._kind = array("B")
+        self._created = array("q")
+        self._delivered = array("q")  # -1 until delivered
+        self._fate = array("B")
+        self._hops = array("i")
+        self._names: list[str] = []  # name id -> direction or kind
+        self._ids: dict[str, int] = {}
+
+    def open(self, src: int, dst: int, payload_bytes: int, direction: str,
+             kind: str, now: int) -> PacketRecord:
+        """Add an unresolved packet; its pid is its row."""
+        pid = len(self._created)
+        self._src.append(src)
+        self._dst.append(dst)
+        self._payload.append(payload_bytes)
+        self._direction.append(_name_id(direction, self._ids, self._names))
+        self._kind.append(_name_id(kind, self._ids, self._names))
+        self._delivered.append(-1)
+        self._fate.append(0)
+        self._hops.append(0)
+        self._created.append(now)
+        pkt = self.live[pid] = PacketRecord(pid, src, dst, payload_bytes,
+                                            direction, kind, now)
+        return pkt
+
+    def settle(self, pkt: PacketRecord, fate: str,
+               delivered_at: int | None = None) -> None:
+        """Give an unresolved packet its one fate and release its object."""
+        if pkt.fate is not None:
+            raise SimulationError(f"packet {pkt.pid} resolved twice")
+        fid = _FATE_IDS.get(fate)
+        if fid is None:
+            raise SimulationError(f"packet {pkt.pid} given unknown fate {fate!r}")
+        pid = pkt.pid
+        self._hops[pid] = pkt.hops
+        if delivered_at is not None:
+            self._delivered[pid] = delivered_at
+        self._fate[pid] = fid
+        del self.live[pid]
+        pkt.fate = fate
+        pkt.delivered_at = delivered_at
+
+    def _record(self, pid: int) -> PacketRecord:
+        pkt = self.live.get(pid)
+        if pkt is not None:
+            return pkt
+        delivered = self._delivered[pid]
+        return PacketRecord(pid, self._src[pid], self._dst[pid],
+                            self._payload[pid],
+                            self._names[self._direction[pid]],
+                            self._names[self._kind[pid]], self._created[pid],
+                            None if delivered < 0 else delivered,
+                            _FATE_BY_ID[self._fate[pid]], self._hops[pid])
+
+    def __len__(self) -> int:
+        return len(self._created)
+
+    def __getitem__(self, index: int | slice
+                    ) -> PacketRecord | list[PacketRecord]:
+        pids = range(len(self._created))[index]
+        if isinstance(index, slice):
+            return [self._record(pid) for pid in pids]
+        return self._record(pids)
+
+    def __iter__(self) -> Iterator[PacketRecord]:
+        return map(self._record, range(len(self._created)))
+
+    def tally(self, warmup_ticks: int
+              ) -> tuple[dict[str, tuple[int, int, int]], dict[str | None, int]]:
+        """One pass over the packets created at or after warmup_ticks.
+
+        Returns (created, delivered, delay ticks summed over deliveries) per
+        direction seen, and the packet count of each fate, None counting
+        the unresolved ones.
+        """
+        sums = [[0, 0, 0] for _ in self._names]
+        fates = [0] * len(_FATE_BY_ID)
+        for nid, created, delivered, fid in zip(self._direction, self._created,
+                                                self._delivered, self._fate):
+            if created < warmup_ticks:
+                continue
+            row = sums[nid]
+            row[0] += 1
+            fates[fid] += 1
+            if fid == _DELIVERED_ID:
+                row[1] += 1
+                row[2] += delivered - created
+        per_direction = {self._names[nid]: tuple(sums[nid])
+                         for nid in set(self._direction)}
+        return per_direction, dict(zip(_FATE_BY_ID, fates))
+
+
 class MetricsCollector:
     """Gathers packet records and a timestamped control-transmission log."""
 
     def __init__(self, warmup_ticks: int) -> None:
         self.warmup_ticks = warmup_ticks
-        self.records: list[PacketRecord] = []
+        self.records = PacketLog()
         self.control_log = ControlLog()
-        self._next_pid = 0
 
     def new_packet(self, src: int, dst: int, payload_bytes: int,
                    direction: str, kind: str, now: int) -> PacketRecord:
-        pkt = PacketRecord(self._next_pid, src, dst, payload_bytes,
-                           direction, kind, now)
-        self._next_pid += 1
-        self.records.append(pkt)
-        return pkt
+        return self.records.open(src, dst, payload_bytes, direction, kind, now)
 
     def delivered(self, pkt: PacketRecord, now: int) -> None:
-        if pkt.fate is not None:
-            raise SimulationError(f"packet {pkt.pid} resolved twice")
-        pkt.delivered_at = now
-        pkt.fate = DELIVERED
+        self.records.settle(pkt, DELIVERED, now)
 
     def dropped(self, pkt: PacketRecord, fate: str) -> None:
-        if pkt.fate is not None:
-            raise SimulationError(f"packet {pkt.pid} resolved twice")
-        pkt.fate = fate
+        self.records.settle(pkt, fate)
 
     def close(self, held) -> None:
         """Give the end-of-run fate to the packets nodes still hold.
@@ -112,21 +228,21 @@ class MetricsCollector:
         """
         for pkt in held:
             if pkt.fate is None:
-                pkt.fate = IN_FLIGHT
+                self.records.settle(pkt, IN_FLIGHT)
 
     def assert_conserved(self) -> None:
         """Every created packet has exactly one fate, per direction."""
-        for direction in (UP, DOWN):
-            created = sum(1 for p in self.records if p.direction == direction)
-            resolved = sum(1 for p in self.records
-                           if p.direction == direction and p.fate is not None)
-            if created != resolved:
-                raise SimulationError(
-                    f"packet conservation violated for {direction}: "
-                    f"{created} created, {resolved} resolved")
+        unresolved = Counter(p.direction for p in self.records.live.values())
+        if unresolved:
+            direction, n = min(unresolved.items())
+            created = self.records.tally(0)[0][direction][0]
+            raise SimulationError(
+                f"packet conservation violated for {direction}: "
+                f"{created} created, {created - n} resolved")
 
 
-def pdr(records: list[PacketRecord], direction: str, warmup_ticks: int) -> float | None:
+def pdr(records: Iterable[PacketRecord], direction: str,
+        warmup_ticks: int) -> float | None:
     """Delivered / created over post-warmup packets; None when none were created."""
     created = delivered = 0
     for pkt in records:
@@ -140,7 +256,7 @@ def pdr(records: list[PacketRecord], direction: str, warmup_ticks: int) -> float
     return delivered / created
 
 
-def avg_delay(records: list[PacketRecord], direction: str,
+def avg_delay(records: Iterable[PacketRecord], direction: str,
               warmup_ticks: int) -> float | None:
     """Mean creation-to-delivery delay in seconds over post-warmup deliveries."""
     total = 0

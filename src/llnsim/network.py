@@ -7,15 +7,14 @@ to the byte.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .ctp import CtpNode
-from .kernel import SimulationError, Simulator, to_ticks
+from .kernel import SimulationError, Simulator, to_seconds, to_ticks
 from .loadng import LoadngNode
-from .metrics import (DELIVERED, DOWN, UP, BUFFER_OVERFLOW, DISCOVERY_TIMEOUT,
-                      IN_FLIGHT, MAC_DROP, NO_ROUTE, MetricsCollector,
-                      MetricsReport, avg_delay, overhead_rate, pdr)
+from .metrics import (DOWN, UP, BUFFER_OVERFLOW, DISCOVERY_TIMEOUT, IN_FLIGHT,
+                      MAC_DROP, NO_ROUTE, MetricsCollector, MetricsReport,
+                      overhead_rate)
 from .radio import Medium
 from .rpl import RplNode
 from .scenario import (CONCENTRATOR, AppSend, ScenarioConfig,
@@ -131,10 +130,9 @@ class Network:
     def _report(self) -> MetricsReport:
         m = self.metrics
         w = m.warmup_ticks
-        post = [p for p in m.records if p.created_at >= w]
-        fates = Counter(p.fate for p in post)
-        up = [p for p in post if p.direction == UP]
-        down = [p for p in post if p.direction == DOWN]
+        counts, fates = m.records.tally(w)
+        up_created, up_delivered, up_delay = counts.get(UP, (0, 0, 0))
+        down_created, down_delivered, down_delay = counts.get(DOWN, (0, 0, 0))
         cfg = self.cfg
         distance = (cfg.concentrator_distance
                     if cfg.topology == "distance-line" else None)
@@ -144,20 +142,22 @@ class Network:
             node_count=cfg.node_count,
             distance=distance,
             seed=cfg.seed,
-            pdr_up=pdr(m.records, UP, w),
-            pdr_down=pdr(m.records, DOWN, w),
-            delay_up_s=avg_delay(m.records, UP, w),
-            delay_down_s=avg_delay(m.records, DOWN, w),
+            pdr_up=up_delivered / up_created if up_created else None,
+            pdr_down=down_delivered / down_created if down_created else None,
+            delay_up_s=(to_seconds(up_delay) / up_delivered
+                        if up_delivered else None),
+            delay_down_s=(to_seconds(down_delay) / down_delivered
+                          if down_delivered else None),
             overhead_bps=overhead_rate(m.control_log, w, self.end_ticks),
-            up_created=len(up),
-            up_delivered=sum(1 for p in up if p.fate == DELIVERED),
-            down_created=len(down),
-            down_delivered=sum(1 for p in down if p.fate == DELIVERED),
-            mac_drop=fates.get(MAC_DROP, 0),
-            no_route=fates.get(NO_ROUTE, 0),
-            discovery_timeout=fates.get(DISCOVERY_TIMEOUT, 0),
-            buffer_overflow=fates.get(BUFFER_OVERFLOW, 0),
-            in_flight=fates.get(IN_FLIGHT, 0),
+            up_created=up_created,
+            up_delivered=up_delivered,
+            down_created=down_created,
+            down_delivered=down_delivered,
+            mac_drop=fates[MAC_DROP],
+            no_route=fates[NO_ROUTE],
+            discovery_timeout=fates[DISCOVERY_TIMEOUT],
+            buffer_overflow=fates[BUFFER_OVERFLOW],
+            in_flight=fates[IN_FLIGHT],
         )
 
 

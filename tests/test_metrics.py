@@ -4,18 +4,21 @@ from __future__ import annotations
 import hashlib
 import statistics
 import tracemalloc
-from dataclasses import replace
+from collections import Counter
+from dataclasses import astuple, replace
 
 import pytest
 
 from llnsim.kernel import SimulationError, to_seconds, to_ticks
-from llnsim.metrics import (AGGREGATE_METRICS, CSV_COLUMNS, DELIVERED,
-                            DISCOVERY_TIMEOUT, DOWN, IN_FLIGHT, MAC_DROP, UP,
-                            ControlLog, MetricsCollector, MetricsReport,
-                            aggregate, avg_delay, config_digest,
-                            overhead_rate, pdr, report_row)
-from llnsim.network import Network
+from llnsim.metrics import (AGGREGATE_METRICS, BUFFER_OVERFLOW, CSV_COLUMNS,
+                            DELIVERED, DISCOVERY_TIMEOUT, DOWN, IN_FLIGHT,
+                            MAC_DROP, NO_ROUTE, UP, ControlLog,
+                            MetricsCollector, MetricsReport, aggregate,
+                            avg_delay, config_digest, overhead_rate, pdr,
+                            report_row)
+from llnsim.network import Network, run_scenario
 from llnsim.radio import Position
+from llnsim.scenario import ScenarioConfig
 
 from conftest import chain_positions, control_rows, inject, quiet_cfg
 
@@ -209,6 +212,124 @@ def test_packets_nodes_still_hold_end_in_flight():
                             warmup=0.0), layout)
     inject(net, 1.0, 2, 0, 512, UP)  # held until a join that never comes
     assert [p.fate for p in net.run().metrics.records] == [IN_FLIGHT]
+
+
+def test_packet_log_reads_back_live_and_settled_packets():
+    c = MetricsCollector(0)
+    start = to_ticks(28_000.0)  # ticks past 2**31
+    pkts = [c.new_packet(i, 59 - i, 100 + i, UP if i % 2 else DOWN,
+                         "ack" if i % 3 else "report", start + i)
+            for i in range(6)]
+    pkts[0].hops = 3
+    c.delivered(pkts[0], to_ticks(28_800.0))
+    pkts[1].hops = 2
+    c.dropped(pkts[1], MAC_DROP)
+    c.close([pkts[4]])
+    log = c.records
+    rows = [astuple(p) for p in pkts]
+    assert len(log) == 6 and sorted(log.live) == [2, 3, 5]
+    assert [astuple(p) for p in log] == rows  # in pid order
+    assert [astuple(p) for p in log] == rows  # reading does not consume
+    # an unresolved packet is the live object; a settled one is a fresh copy
+    assert log[2] is pkts[2] and log[-1] is pkts[5] and log[-4] is pkts[2]
+    assert log[0] is not pkts[0] and log[0] == pkts[0]
+    assert (log[0].hops, log[0].delivered_at) == (3, to_ticks(28_800.0))
+    assert astuple(log[-6]) == rows[0] and astuple(log[4]) == rows[4]
+    assert log[1].fate == MAC_DROP and log[1].delivered_at is None
+    assert log[4].fate == IN_FLIGHT
+    part = log[1:5]
+    assert isinstance(part, list) and [astuple(p) for p in part] == rows[1:5]
+    assert [p.pid for p in log[::-2]] == [5, 3, 1]
+    assert [p.pid for p in log[:2] + log[3:]] == [0, 1, 3, 4, 5]
+    assert log[7:] == []
+    for index in (6, -7):
+        with pytest.raises(IndexError):
+            log[index]
+
+
+def test_an_unknown_fate_is_rejected_by_name():
+    c = MetricsCollector(0)
+    pkt = c.new_packet(1, 0, 512, UP, "report", 0)
+    with pytest.raises(SimulationError, match="lost-in-space"):
+        c.dropped(pkt, "lost-in-space")
+    assert pkt.fate is None and c.records[0] is pkt  # still unresolved
+    c.dropped(pkt, NO_ROUTE)
+    c.assert_conserved()
+
+
+@pytest.mark.parametrize("packet", [(2**31, 0, 512, 0), (1, 2**31, 512, 0),
+                                    (1, 0, 2**31, 0), (1, 0, 512, 2**63)],
+                         ids=["src", "dst", "payload", "created"])
+def test_packet_log_refuses_values_it_cannot_hold(packet):
+    src, dst, payload, now = packet
+    with pytest.raises(OverflowError):
+        MetricsCollector(0).new_packet(src, dst, payload, UP, "report", now)
+
+
+def test_packet_log_refuses_a_settled_value_it_cannot_hold():
+    c = MetricsCollector(0)
+    pkt = c.new_packet(1, 0, 512, UP, "report", 0)
+    pkt.hops = 2**31
+    with pytest.raises(OverflowError):
+        c.dropped(pkt, MAC_DROP)
+    pkt = c.new_packet(1, 0, 512, UP, "report", 0)
+    with pytest.raises(OverflowError):
+        c.delivered(pkt, 2**63)
+
+
+def test_packet_log_refuses_a_257th_name():
+    c = MetricsCollector(0)
+    for i in range(254):
+        c.new_packet(1, 0, 512, UP, f"kind{i}", 0)  # 255 names with UP
+    c.new_packet(1, 0, 512, UP, "kind254", 0)  # the 256th
+    with pytest.raises(OverflowError):
+        c.new_packet(1, 0, 512, UP, "kind255", 0)
+
+
+def test_packet_log_holds_a_settled_row_in_at_most_48_bytes():
+    # a PacketRecord kept per packet took about 220 B
+    n = 100_000
+    c = MetricsCollector(0)
+    start = to_ticks(28_000.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(n):
+            pkt = c.new_packet(1 + i % 59, 0, 512, UP, "report", start + i)
+            pkt.hops = 1 + i % 5
+            if i % 10:
+                c.delivered(pkt, start + i + 16896)
+            else:
+                c.dropped(pkt, MAC_DROP)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(c.records) == n and not c.records.live
+    assert grown / n <= 48
+
+
+@pytest.mark.parametrize("backend", ["loadng", "loadng-ctp", "rpl"])
+def test_one_pass_report_equals_the_per_record_reduction(backend):
+    result = run_scenario(ScenarioConfig(backend=backend, node_count=20,
+                                         duration=600.0,
+                                         removals=((300.0, 5),)))
+    records, report = result.metrics.records, result.report
+    w = result.metrics.warmup_ticks
+    post = [p for p in records if p.created_at >= w]
+    for direction in (UP, DOWN):
+        assert getattr(report, f"pdr_{direction}") == pdr(records, direction, w)
+        assert (getattr(report, f"delay_{direction}_s")
+                == avg_delay(records, direction, w))
+        mine = [p for p in post if p.direction == direction]
+        assert getattr(report, f"{direction}_created") == len(mine) > 0
+        assert (getattr(report, f"{direction}_delivered")
+                == sum(p.fate == DELIVERED for p in mine))
+    fates = Counter(p.fate for p in post)
+    assert ((report.mac_drop, report.no_route, report.discovery_timeout,
+             report.buffer_overflow, report.in_flight)
+            == (fates[MAC_DROP], fates[NO_ROUTE], fates[DISCOVERY_TIMEOUT],
+                fates[BUFFER_OVERFLOW], fates[IN_FLIGHT]))
+    assert report.pdr_up is not None and report.delay_down_s is not None
 
 
 def _report(**over):

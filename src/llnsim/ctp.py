@@ -45,12 +45,10 @@ class CtpNode(LoadngNode):
     # -- tree construction, root side ---------------------------------------
 
     def _trigger_tree(self) -> None:
-        if self.dead:
-            return
         self.seq = next_seq(self.seq)
-        msg = RouteMsg(MsgKind.RREQ, originator=self.addr,
-                       destination=self.addr, seq=self.seq, trigger=True)
-        self.send_control(msg, BROADCAST, "rreq_trigger")
+        msg = RouteMsg(MsgKind.TRIGGER, originator=self.addr,
+                       destination=self.addr, seq=self.seq)
+        self.send_control(msg, BROADCAST)
         self._schedule_hello()
         # the build flood is planned the moment the trigger goes out
         build_delay = 2 * to_ticks(self.ctp.net_traversal_time)
@@ -60,22 +58,21 @@ class CtpNode(LoadngNode):
                                  self._trigger_tree)
 
     def _send_build(self) -> None:
-        if self.dead:
-            return
         self.seq = next_seq(self.seq)
-        msg = RouteMsg(MsgKind.RREQ, originator=self.addr,
-                       destination=self.addr, seq=self.seq, build=True,
+        msg = RouteMsg(MsgKind.BUILD, originator=self.addr,
+                       destination=self.addr, seq=self.seq,
                        rrep_required=self.ctp.rrep_required)
-        self.send_control(msg, BROADCAST, "rreq_build")
+        self.send_control(msg, BROADCAST)
 
     # -- tree construction, router side --------------------------------------
 
     def handle_msg(self, msg: RouteMsg, prev_hop: int) -> None:
-        if msg.kind is MsgKind.RREQ and msg.trigger:
+        kind = msg.kind
+        if kind is MsgKind.TRIGGER:
             self._process_trigger(msg, prev_hop)
-        elif msg.kind is MsgKind.RREQ and msg.build:
+        elif kind is MsgKind.BUILD:
             self._process_build(msg, prev_hop)
-        elif msg.kind is MsgKind.HELLO:
+        elif kind is MsgKind.HELLO:
             self._process_hello(msg, prev_hop)
         else:
             super().handle_msg(msg, prev_hop)
@@ -90,8 +87,7 @@ class CtpNode(LoadngNode):
         self.trigger_received = True
         fwd = m.forwarded()
         delay = to_ticks(draw_uniform(self.rng, 0.0, self.ctp.rreq_max_jitter))
-        self.sim.schedule_in(delay,
-                             lambda: self._tx_broadcast(fwd, "rreq_trigger"))
+        self.sim.schedule_in(delay, lambda: self.send_control(fwd, BROADCAST))
         self._schedule_hello()
 
     def _schedule_hello(self) -> None:
@@ -103,8 +99,6 @@ class CtpNode(LoadngNode):
         self.sim.schedule_in(delay, self._send_hello)
 
     def _send_hello(self) -> None:
-        if self.dead:
-            return
         # list everything heard by emission time; late re-broadcasts made it in
         # because hello_min_jitter exceeds twice the trigger jitter
         neighbors = tuple(sorted(self.neighbor_status))
@@ -137,8 +131,7 @@ class CtpNode(LoadngNode):
         self.build_done = True
         fwd = m.forwarded()
         delay = to_ticks(draw_uniform(self.rng, 0.0, self.ctp.rreq_max_jitter))
-        self.sim.schedule_in(delay,
-                             lambda: self._tx_broadcast(fwd, "rreq_build"))
+        self.sim.schedule_in(delay, lambda: self.send_control(fwd, BROADCAST))
         if m.rrep_required and self._first_or_better((m.originator, m.seq), 0):
             rrep_delay = to_ticks(draw_uniform(self.rng, 0.0,
                                                self.ctp.rreq_max_jitter))

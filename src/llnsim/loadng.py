@@ -54,11 +54,7 @@ class LoadngNode(NodeEngine):
         self._dispatch(pkt, at_source=True)
 
     def handle_data(self, frame: Frame, prev_hop: int) -> None:
-        pkt = frame.packet
-        if pkt.dst == self.addr:
-            self.deliver_local(pkt)
-        else:
-            self._dispatch(pkt, at_source=False)
+        self._dispatch(frame.packet, at_source=False)
 
     def _dispatch(self, pkt, at_source: bool) -> None:
         # data rides only confirmed routes: a tuple learned from an overheard
@@ -107,16 +103,11 @@ class LoadngNode(NodeEngine):
         msg = RouteMsg(MsgKind.RREQ, originator=self.addr, destination=dest,
                        seq=seq)
         delay = to_ticks(draw_uniform(self.rng, 0.0, self.params.rreq_jitter_max))
-        self.sim.schedule_in(delay, lambda: self._tx_broadcast(msg, "rreq"))
+        self.sim.schedule_in(delay, lambda: self.send_control(msg, BROADCAST))
         self.sim.schedule_in(self.ntt_ticks,
                              lambda: self._discovery_timeout(dest, seq))
         self.counters["rreq_originated"] += 1
         return seq
-
-    def _tx_broadcast(self, msg: RouteMsg, label: str) -> None:
-        if self.dead:
-            return
-        self.send_control(msg, BROADCAST, label)
 
     def _discovery_timeout(self, dest: int, seq: int) -> None:
         disc = self.pending.get(dest)
@@ -186,7 +177,7 @@ class LoadngNode(NodeEngine):
             return
         fwd = m.forwarded()
         delay = to_ticks(draw_uniform(self.rng, 0.0, self.params.rreq_jitter_max))
-        self.sim.schedule_in(delay, lambda: self._tx_broadcast(fwd, "rreq"))
+        self.sim.schedule_in(delay, lambda: self.send_control(fwd, BROADCAST))
 
     def _first_or_better(self, key: tuple[int, int], metric: int) -> bool:
         """Record and accept the first copy of a flood, or a strictly better one."""

@@ -13,6 +13,8 @@ SEQ_HALF = 1 << 15
 
 class MsgKind(Enum):
     RREQ = "rreq"
+    TRIGGER = "rreq_trigger"  # collection tree: learn which neighbors hear us
+    BUILD = "rreq_build"  # collection tree: install routes over symmetric links
     RREP = "rrep"
     RREP_ACK = "rrep_ack"
     RERR = "rerr"
@@ -25,6 +27,8 @@ class MsgKind(Enum):
 # encoded byte size per message kind; HELLO grows with its neighbor list
 BASE_SIZES = {
     MsgKind.RREQ: 24,
+    MsgKind.TRIGGER: 24,
+    MsgKind.BUILD: 24,
     MsgKind.RREP: 24,
     MsgKind.RREP_ACK: 12,
     MsgKind.RERR: 20,
@@ -45,8 +49,6 @@ class RouteMsg:
     destination: int
     seq: int = 0
     hop_count: int = 0
-    trigger: bool = False
-    build: bool = False
     rrep_required: bool = False
     hello_neighbors: tuple[int, ...] = ()
     rank: int = 0

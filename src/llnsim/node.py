@@ -5,7 +5,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .kernel import Simulator
-from .messages import BROADCAST, RouteMsg, encoded_size
+from .messages import RouteMsg, encoded_size
 from .metrics import MAC_DROP, NO_ROUTE
 from .radio import Frame, KIND_CONTROL, KIND_DATA, NodeMac
 
@@ -62,9 +62,6 @@ class RoutingSet:
     def __len__(self) -> int:
         return len(self._routes)
 
-    def __contains__(self, dest: int) -> bool:
-        return dest in self._routes
-
 
 class NodeEngine:
     """Base class for one node's routing logic; subclasses implement a backend."""
@@ -95,18 +92,16 @@ class NodeEngine:
     # -- radio glue --------------------------------------------------------
 
     def receive(self, frame: Frame, prev_hop: int) -> None:
-        if self.dead:
-            return
-        if frame.dst != BROADCAST and frame.dst != self.addr:
-            return  # overheard someone else's unicast
+        # the medium hands a node only frames addressed to it (or broadcast),
+        # and nothing at all once the node is removed
         if frame.kind == KIND_CONTROL:
             self.handle_msg(frame.msg, prev_hop)
+        elif frame.packet.dst == self.addr:
+            self.net.app_delivered(frame.packet, self.addr)
         else:
             self.handle_data(frame, prev_hop)
 
     def _mac_result(self, frame: Frame, delivered: bool) -> None:
-        if self.dead:
-            return
         if delivered:
             self.on_link_ok(frame)
             return
@@ -128,9 +123,9 @@ class NodeEngine:
 
     # -- send helpers ------------------------------------------------------
 
-    def send_control(self, msg: RouteMsg, dst: int, label: str = "") -> None:
+    def send_control(self, msg: RouteMsg, dst: int) -> None:
         frame = Frame(self.addr, dst, encoded_size(msg), KIND_CONTROL,
-                      label or msg.kind.value, msg)
+                      msg.kind.value, msg)
         self.mac.enqueue(frame)
 
     def send_data(self, pkt, next_hop: int, header_bytes: int = 0,
@@ -146,9 +141,6 @@ class NodeEngine:
         if not self.mac.enqueue(frame):
             self.net.metrics.dropped(pkt, MAC_DROP)
 
-    def deliver_local(self, pkt) -> None:
-        self.net.app_delivered(pkt, self.addr)
-
     # -- backend hooks -----------------------------------------------------
 
     def handle_app_send(self, pkt) -> None:
@@ -158,4 +150,5 @@ class NodeEngine:
         raise NotImplementedError
 
     def handle_data(self, frame: Frame, prev_hop: int) -> None:
+        """A data frame to forward: its packet is for another node."""
         raise NotImplementedError

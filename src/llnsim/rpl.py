@@ -73,7 +73,7 @@ class RplNode(NodeEngine):
         self.sim.schedule_in(self.interval, lambda: self._trickle_end(epoch))
 
     def _trickle_fire(self, epoch: int) -> None:
-        if epoch != self._epoch or self.dead or self.rank is None:
+        if epoch != self._epoch or self.rank is None:
             return
         if self.heard < self.rpl.dio_redundancy_constant:
             msg = RouteMsg(MsgKind.DIO, originator=self.root_addr,
@@ -236,9 +236,6 @@ class RplNode(NodeEngine):
 
     def handle_data(self, frame: Frame, prev_hop: int) -> None:
         pkt = frame.packet
-        if pkt.dst == self.addr:
-            self.deliver_local(pkt)
-            return
         if frame.source_route:
             nxt = frame.source_route[0]
             rest = frame.source_route[1:]

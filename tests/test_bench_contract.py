@@ -1,0 +1,47 @@
+"""The benchmark's tracer finds every program function it instruments.
+
+A traced benchmark run wraps the functions named in ``bench/tracer.py`` by
+looking each one up on its owner; a name that no longer resolves is only
+reported as ``not instrumented:`` and its per-layer figures read zero.
+These tests fail instead, so a rename in the program shows up here.  The
+benchmark modules are imported, never patched.
+"""
+from __future__ import annotations
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+sys.path.insert(0, str(BENCH))
+try:
+    # the benchmark's own modules must import against the program as it is
+    for name in ("checks", "probes", "workloads"):
+        importlib.import_module(name)
+    tracer = importlib.import_module("tracer")
+finally:
+    sys.path.remove(str(BENCH))
+COUNTERS = tracer.Tracer()._counters()
+
+
+def _resolve(mod_name: str, path: str):
+    """The callable at path, looked up as Tracer._patch looks it up."""
+    module = importlib.import_module(f"llnsim.{mod_name}")
+    owner_name, _, attr = path.rpartition(".")
+    if owner_name:
+        return vars(module)[owner_name].__dict__[attr]
+    return vars(module)[attr]
+
+
+@pytest.mark.parametrize("mod_name,path,span", tracer.TARGETS,
+                         ids=[span + ":" + path for _, path, span in tracer.TARGETS])
+def test_every_span_target_resolves(mod_name, path, span):
+    assert callable(_resolve(mod_name, path))
+
+
+@pytest.mark.parametrize("mod_name,path,make", COUNTERS,
+                         ids=[path for _, path, _ in COUNTERS])
+def test_every_counting_wrapper_target_resolves(mod_name, path, make):
+    assert callable(_resolve(mod_name, path))

@@ -122,8 +122,8 @@ def test_hellos_wait_out_every_trigger_rebroadcast():
 def test_build_requires_prior_trigger_and_a_symmetric_link():
     net = _ctp_net(3)
     node = net.nodes[2]
-    build = RouteMsg(MsgKind.RREQ, originator=0, destination=0, seq=9,
-                     build=True, rrep_required=True)
+    build = RouteMsg(MsgKind.BUILD, originator=0, destination=0, seq=9,
+                     rrep_required=True)
     node._process_build(build, prev_hop=1)
     assert node.counters["build_without_trigger"] == 1
     node.trigger_received = True  # heard the trigger, link still unproven

@@ -1,11 +1,14 @@
-"""Wire sizes and circular sequence-number arithmetic."""
+"""Wire sizes, overhead labels, and circular sequence-number arithmetic."""
 from __future__ import annotations
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from llnsim.messages import (BROADCAST, MsgKind, RouteMsg, SEQ_HALF, SEQ_MOD,
                              encoded_size, next_seq, seq_newer)
+from llnsim.network import run_scenario
+from llnsim.scenario import BACKENDS, ScenarioConfig
 
 
 def _msg(kind, **kw):
@@ -14,12 +17,24 @@ def _msg(kind, **kw):
 
 def test_fixed_message_sizes():
     assert encoded_size(_msg(MsgKind.RREQ)) == 24
+    assert encoded_size(_msg(MsgKind.TRIGGER)) == 24
+    assert encoded_size(_msg(MsgKind.BUILD)) == 24
     assert encoded_size(_msg(MsgKind.RREP)) == 24
     assert encoded_size(_msg(MsgKind.RREP_ACK)) == 12
     assert encoded_size(_msg(MsgKind.RERR)) == 20
     assert encoded_size(_msg(MsgKind.DIO)) == 36
     assert encoded_size(_msg(MsgKind.DIS)) == 8
     assert encoded_size(_msg(MsgKind.DAO)) == 28
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_every_control_frame_is_labelled_by_its_message_kind(backend):
+    cfg = ScenarioConfig(backend=backend, node_count=12, duration=600.0,
+                         warmup=60.0, removals=((300.0, 5),))
+    labels = {row[1] for row in run_scenario(cfg).metrics.control_log}
+    assert labels and labels <= {kind.value for kind in MsgKind}
+    if backend == "loadng-ctp":
+        assert {"rreq_trigger", "rreq_build"} <= labels
 
 
 def test_hello_grows_two_bytes_per_listed_neighbor():

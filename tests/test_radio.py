@@ -105,6 +105,20 @@ def test_idle_lossless_unicast_one_transmission_at_exact_airtime():
     assert h.macs[0].unicast_ok == 1
 
 
+def test_unicast_reaches_its_destination_only_but_every_neighbor_hears_it():
+    # 2 is in range of 0 but is not addressed: it defers, it does not receive
+    h = Harness({0: Position(0, 0), 1: Position(100, 0), 2: Position(50, 50)})
+    busy = []
+    h.send(0, 1)
+    h.sim.schedule_at(5000, lambda: busy.append(h.medium.busy_for(2)))
+    h.sim.run_until(1_000_000)
+    assert busy == [True]
+    assert [a for _, a, _ in h.received] == [1]
+    h.send(0, BROADCAST)
+    h.sim.run_until(2_000_000)
+    assert sorted(a for _, a, f in h.received if f.dst == BROADCAST) == [1, 2]
+
+
 def test_out_of_range_unicast_retries_then_gives_up():
     h = Harness({0: Position(0, 0), 1: Position(300, 0)})
     h.send(0, 1)

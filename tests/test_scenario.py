@@ -121,6 +121,7 @@ def test_disabled_traffic_schedules_nothing():
     dict(removals=((-1.0, 1),)),
     dict(radio=RadioParams(p_edge=1.5)),
     dict(ctp=CtpParams(rreq_max_jitter=1.0, hello_min_jitter=1.5)),
+    dict(removals=((10.0, 0),)),  # the concentrator is never removed
 ])
 def test_invalid_configurations_are_rejected(bad):
     with pytest.raises(ConfigError):

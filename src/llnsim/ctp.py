@@ -12,7 +12,7 @@ falls back to plain reactive discovery.
 """
 from __future__ import annotations
 
-from .kernel import draw_uniform, to_ticks
+from .kernel import to_ticks
 from .messages import BROADCAST, MsgKind, RouteMsg, next_seq
 from .node import HEARD, SYM
 from .loadng import LoadngNode
@@ -86,17 +86,16 @@ class CtpNode(LoadngNode):
             return  # the trigger is re-broadcast once, improvements or not
         self.trigger_received = True
         fwd = m.forwarded()
-        delay = to_ticks(draw_uniform(self.rng, 0.0, self.ctp.rreq_max_jitter))
-        self.sim.schedule_in(delay, lambda: self.send_control(fwd, BROADCAST))
+        self.after_jitter(self.ctp.rreq_max_jitter,
+                          lambda: self.send_control(fwd, BROADCAST))
         self._schedule_hello()
 
     def _schedule_hello(self) -> None:
         if self.hello_scheduled:
             return
         self.hello_scheduled = True
-        delay = to_ticks(draw_uniform(self.rng, self.ctp.hello_min_jitter,
-                                      self.ctp.hello_max_jitter))
-        self.sim.schedule_in(delay, self._send_hello)
+        self.after_jitter(self.ctp.hello_max_jitter, self._send_hello,
+                          lo=self.ctp.hello_min_jitter)
 
     def _send_hello(self) -> None:
         # list everything heard by emission time; late re-broadcasts made it in
@@ -130,12 +129,10 @@ class CtpNode(LoadngNode):
             return  # equal or worse than the tree we already have
         self.build_done = True
         fwd = m.forwarded()
-        delay = to_ticks(draw_uniform(self.rng, 0.0, self.ctp.rreq_max_jitter))
-        self.sim.schedule_in(delay, lambda: self.send_control(fwd, BROADCAST))
+        self.after_jitter(self.ctp.rreq_max_jitter,
+                          lambda: self.send_control(fwd, BROADCAST))
         if m.rrep_required and self._first_or_better((m.originator, m.seq), 0):
-            rrep_delay = to_ticks(draw_uniform(self.rng, 0.0,
-                                               self.ctp.rreq_max_jitter))
-            self.sim.schedule_in(rrep_delay, self._send_tree_rrep)
+            self.after_jitter(self.ctp.rreq_max_jitter, self._send_tree_rrep)
 
     def _send_tree_rrep(self) -> None:
         """One RREP to the root per build, installing downward routes per hop."""
@@ -145,7 +142,7 @@ class CtpNode(LoadngNode):
         msg = RouteMsg(MsgKind.RREP, originator=self.addr,
                        destination=self.root_addr, seq=self.seq)
         self.counters["tree_rrep"] += 1
-        self._forward_rrep(msg)
+        self._unicast_toward(msg)
 
     # -- fallback accounting --------------------------------------------------
 

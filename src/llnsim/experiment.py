@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import replace
 
 from .metrics import AGGREGATE_METRICS, CSV_COLUMNS, MetricsReport, aggregate, report_row
@@ -28,27 +29,22 @@ def expand_sweep(base: ScenarioConfig, sweep: dict) -> list[ScenarioConfig]:
     if unknown:
         raise ConfigError(f"unknown sweep keys {unknown}; "
                           f"expected a subset of {list(SWEEP_KEYS)}")
+    names = SWEEP_KEYS[:3]  # "seeds" is a run count, not a field value
     try:
-        backends = _split(sweep.get("backend")) or [base.backend]
-        node_counts = ([int(x) for x in _split(sweep.get("node_count"))]
-                       or [base.node_count])
-        distances = ([float(x) for x in _split(sweep.get("concentrator_distance"))]
-                     or [base.concentrator_distance])
-        seeds = (list(range(1, int(sweep["seeds"]) + 1))
+        # each value takes the type of the field it varies
+        axes = [[type(getattr(base, key))(x) for x in _split(sweep.get(key))]
+                or [getattr(base, key)] for key in names]
+        seeds = (range(1, int(sweep["seeds"]) + 1)
                  if "seeds" in sweep else [base.seed])
     except ValueError as exc:
         raise ConfigError(f"bad sweep value: {exc}") from None
     if not seeds:
         raise ConfigError("seeds must be >= 1")
     configs = []
-    for backend in backends:
-        for node_count in node_counts:
-            for distance in distances:
-                for seed in seeds:
-                    cfg = replace(base, backend=backend, node_count=node_count,
-                                  concentrator_distance=distance, seed=seed)
-                    cfg.validate()
-                    configs.append(cfg)
+    for values in itertools.product(*axes, seeds):
+        cfg = replace(base, **dict(zip((*names, "seed"), values)))
+        cfg.validate()
+        configs.append(cfg)
     return configs
 
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .kernel import draw_uniform, to_ticks
+from .kernel import to_ticks
 from .messages import BROADCAST, MsgKind, RouteMsg, next_seq, seq_newer
-from .metrics import BUFFER_OVERFLOW, DISCOVERY_TIMEOUT, NO_ROUTE
+from .metrics import DISCOVERY_TIMEOUT, NO_ROUTE
 from .node import HEARD, NodeEngine, RoutingSet, RoutingTuple, SYM
 from .radio import Frame
 
@@ -80,14 +80,8 @@ class LoadngNode(NodeEngine):
     def _buffer_and_discover(self, pkt) -> None:
         disc = self.pending.get(pkt.dst)
         if disc is None:
-            disc = Discovery(seq=self._originate_rreq(pkt.dst))
-            disc.packets.append(pkt)
-            self.pending[pkt.dst] = disc
-        elif len(disc.packets) >= self.params.buffer_capacity:
-            self.counters["buffer_overflow"] += 1
-            self.net.metrics.dropped(pkt, BUFFER_OVERFLOW)
-        else:
-            disc.packets.append(pkt)
+            disc = self.pending[pkt.dst] = Discovery(self._originate_rreq(pkt.dst))
+        self.hold(disc.packets, self.params.buffer_capacity, pkt)
 
     def held_packets(self) -> list:
         held = super().held_packets()
@@ -102,8 +96,8 @@ class LoadngNode(NodeEngine):
         seq = self.seq
         msg = RouteMsg(MsgKind.RREQ, originator=self.addr, destination=dest,
                        seq=seq)
-        delay = to_ticks(draw_uniform(self.rng, 0.0, self.params.rreq_jitter_max))
-        self.sim.schedule_in(delay, lambda: self.send_control(msg, BROADCAST))
+        self.after_jitter(self.params.rreq_jitter_max,
+                          lambda: self.send_control(msg, BROADCAST))
         self.sim.schedule_in(self.ntt_ticks,
                              lambda: self._discovery_timeout(dest, seq))
         self.counters["rreq_originated"] += 1
@@ -124,18 +118,16 @@ class LoadngNode(NodeEngine):
         if dest == self.addr:
             return False
         now = self.sim.now
-        cur = self.routes.get(dest)
-        expired = cur is not None and (cur.valid_until is not None
-                                       and cur.valid_until < now)
-        if (status == HEARD and cur is not None and not expired
-                and cur.status == SYM):
-            # an overheard flood neither degrades a confirmed route nor
-            # extends its life; otherwise steady floods from a chatty
-            # destination would keep every route to it eternally fresh
-            return False
-        if not (cur is None or expired or seq_newer(seq, cur.seq)
-                or (seq == cur.seq and metric < cur.metric)):
-            return False
+        cur = self.routes.get_valid(dest, now)
+        if cur is not None:
+            if status == HEARD and cur.status == SYM:
+                # an overheard flood neither degrades a confirmed route nor
+                # extends its life; otherwise steady floods from a chatty
+                # destination would keep every route to it eternally fresh
+                return False
+            if not (seq_newer(seq, cur.seq)
+                    or (seq == cur.seq and metric < cur.metric)):
+                return False
         valid_until = None if self.permanent_routes else now + self.lifetime_ticks
         self.routes.install(RoutingTuple(dest, next_hop, metric, seq,
                                          valid_until, status))
@@ -158,12 +150,10 @@ class LoadngNode(NodeEngine):
             self._process_rreq(msg, prev_hop)
         elif kind is MsgKind.RREP:
             self._process_rrep(msg, prev_hop)
-        elif kind is MsgKind.RREP_ACK:
-            self.counters["rrep_ack_in"] += 1
         elif kind is MsgKind.RERR:
             self._process_rerr(msg, prev_hop)
-        else:
-            self.counters["ignored_msg"] += 1
+        else:  # the RREP_ACK that ends one hop of a reply
+            self.counters["rrep_ack_in"] += 1
 
     def _process_rreq(self, m: RouteMsg, prev_hop: int) -> None:
         if m.originator == self.addr:
@@ -176,8 +166,8 @@ class LoadngNode(NodeEngine):
             self._generate_rrep(m)
             return
         fwd = m.forwarded()
-        delay = to_ticks(draw_uniform(self.rng, 0.0, self.params.rreq_jitter_max))
-        self.sim.schedule_in(delay, lambda: self.send_control(fwd, BROADCAST))
+        self.after_jitter(self.params.rreq_jitter_max,
+                          lambda: self.send_control(fwd, BROADCAST))
 
     def _first_or_better(self, key: tuple[int, int], metric: int) -> bool:
         """Record and accept the first copy of a flood, or a strictly better one."""
@@ -207,12 +197,13 @@ class LoadngNode(NodeEngine):
         msg = RouteMsg(MsgKind.RREP, originator=self.addr,
                        destination=req.originator, seq=rep_seq)
         self.counters["rrep_originated"] += 1
-        self._forward_rrep(msg)
+        self._unicast_toward(msg)
 
-    def _forward_rrep(self, msg: RouteMsg) -> None:
+    def _unicast_toward(self, msg: RouteMsg) -> None:
+        """Send a RREP or RERR one hop along the route to its destination."""
         tup = self.routes.get_valid(msg.destination, self.sim.now)
         if tup is None:
-            self.counters["rrep_no_route"] += 1
+            self.counters[f"{msg.kind.value}_no_route"] += 1
             return
         self.send_control(msg, tup.next_hop)
 
@@ -223,32 +214,22 @@ class LoadngNode(NodeEngine):
         self.send_control(ack, prev_hop)
         if m.destination == self.addr:
             return  # the install above released any buffered packets
-        self._forward_rrep(m.forwarded())
+        self._unicast_toward(m.forwarded())
 
     def _process_rerr(self, m: RouteMsg, prev_hop: int) -> None:
         tup = self.routes.get(m.unreachable)
         if tup is not None and tup.next_hop == prev_hop:
             self.routes.remove(m.unreachable)
-        if m.destination == self.addr:
-            return
-        tup = self.routes.get_valid(m.destination, self.sim.now)
-        if tup is None:
-            self.counters["rerr_no_route"] += 1
-            return
-        self.send_control(m.forwarded(), tup.next_hop)
+        if m.destination != self.addr:
+            self._unicast_toward(m.forwarded())
 
     # -- failure handling ---------------------------------------------------
 
     def _send_rerr(self, unreachable: int, toward: int) -> None:
-        if toward == self.addr:
-            return
-        tup = self.routes.get_valid(toward, self.sim.now)
-        if tup is None:
-            self.counters["rerr_no_route"] += 1
-            return
-        msg = RouteMsg(MsgKind.RERR, originator=self.addr, destination=toward,
-                       unreachable=unreachable)
-        self.send_control(msg, tup.next_hop)
+        if toward != self.addr:
+            self._unicast_toward(RouteMsg(MsgKind.RERR, originator=self.addr,
+                                          destination=toward,
+                                          unreachable=unreachable))
 
     def on_broken_link(self, frame: Frame) -> None:
         pkt = frame.packet

@@ -6,7 +6,7 @@ import statistics
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from .kernel import SimulationError, to_seconds
 
@@ -282,67 +282,47 @@ def overhead_rate(control_log: Iterable[ControlRow],
     return total / duration
 
 
+def _fixed(digits: int, scale: float = 1.0):
+    """A formatter to digits decimals after scaling; None is an empty cell."""
+    return lambda value: "" if value is None else f"{value * scale:.{digits}f}"
+
+
+def csv_column(fmt=str, name: str | None = None):
+    """A report field's CSV cell: its formatter, under name or the field's."""
+    return field(metadata={"csv": (name, fmt)})
+
+
 @dataclass(frozen=True)
 class MetricsReport:
-    """Summary of one run; one CSV row."""
+    """Summary of one run; one CSV row, its columns in field order."""
 
-    cfg_id: str
-    backend: str
-    node_count: int
-    distance: float | None
-    seed: int
-    pdr_up: float | None
-    pdr_down: float | None
-    delay_up_s: float | None
-    delay_down_s: float | None
-    overhead_bps: float
-    up_created: int
-    up_delivered: int
-    down_created: int
-    down_delivered: int
-    mac_drop: int
-    no_route: int
-    discovery_timeout: int
-    buffer_overflow: int
-    in_flight: int
-
-
-CSV_COLUMNS = (
-    "cfg_id", "backend", "node_count", "distance", "seed",
-    "pdr_up", "pdr_down", "delay_up_ms", "delay_down_ms", "overhead_bps",
-    "up_created", "up_delivered", "down_created", "down_delivered",
-    "mac_drop", "no_route", "discovery_timeout", "buffer_overflow", "in_flight",
-)
+    cfg_id: str = csv_column()
+    backend: str = csv_column()
+    node_count: int = csv_column()
+    distance: float | None = csv_column(_fixed(1))
+    seed: int = csv_column()
+    pdr_up: float | None = csv_column(_fixed(6))
+    pdr_down: float | None = csv_column(_fixed(6))
+    delay_up_s: float | None = csv_column(_fixed(3, 1e3), "delay_up_ms")
+    delay_down_s: float | None = csv_column(_fixed(3, 1e3), "delay_down_ms")
+    overhead_bps: float = csv_column(_fixed(3))
+    up_created: int = csv_column()
+    up_delivered: int = csv_column()
+    down_created: int = csv_column()
+    down_delivered: int = csv_column()
+    mac_drop: int = csv_column()
+    no_route: int = csv_column()
+    discovery_timeout: int = csv_column()
+    buffer_overflow: int = csv_column()
+    in_flight: int = csv_column()
 
 
-def _fmt(value, scale: float = 1.0, digits: int = 6) -> str:
-    if value is None:
-        return ""
-    return f"{value * scale:.{digits}f}"
+_CSV = [(f.name, *f.metadata["csv"]) for f in fields(MetricsReport)]
+CSV_COLUMNS = tuple(name or attr for attr, name, _ in _CSV)
 
 
 def report_row(report: MetricsReport) -> list[str]:
-    return [
-        report.cfg_id,
-        report.backend,
-        str(report.node_count),
-        _fmt(report.distance, digits=1),
-        str(report.seed),
-        _fmt(report.pdr_up),
-        _fmt(report.pdr_down),
-        _fmt(report.delay_up_s, scale=1e3, digits=3),
-        _fmt(report.delay_down_s, scale=1e3, digits=3),
-        _fmt(report.overhead_bps, digits=3),
-        str(report.up_created),
-        str(report.up_delivered),
-        str(report.down_created),
-        str(report.down_delivered),
-        str(report.mac_drop),
-        str(report.no_route),
-        str(report.discovery_timeout),
-        str(report.buffer_overflow),
-        str(report.in_flight),
-    ]
+    return [fmt(getattr(report, attr)) for attr, _, fmt in _CSV]
 
 
 AGGREGATE_METRICS = ("pdr_up", "pdr_down", "delay_up_s", "delay_down_s",

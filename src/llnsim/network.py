@@ -111,15 +111,14 @@ class Network:
         traffic = self.cfg.traffic
         if pkt.kind == "report" and at_addr == CONCENTRATOR:
             # acking only reports keeps the ack exchange from echoing forever
-            ack = self.metrics.new_packet(at_addr, pkt.src,
-                                          traffic.downward_ack_bytes,
-                                          DOWN, "ack", self.sim.now)
-            self.nodes[at_addr].handle_app_send(ack)
+            size, direction = traffic.downward_ack_bytes, DOWN
         elif pkt.direction == DOWN and at_addr != CONCENTRATOR:
-            ack = self.metrics.new_packet(at_addr, pkt.src,
-                                          traffic.upward_ack_bytes,
-                                          UP, "ack", self.sim.now)
-            self.nodes[at_addr].handle_app_send(ack)
+            size, direction = traffic.upward_ack_bytes, UP
+        else:
+            return
+        ack = self.metrics.new_packet(at_addr, pkt.src, size, direction, "ack",
+                                      self.sim.now)
+        self.nodes[at_addr].handle_app_send(ack)
 
     def remove_node(self, addr: int) -> None:
         self.nodes[addr].kill()

@@ -4,9 +4,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .kernel import Simulator
+from .kernel import Simulator, draw_uniform, to_ticks
 from .messages import RouteMsg, encoded_size
-from .metrics import MAC_DROP, NO_ROUTE
+from .metrics import BUFFER_OVERFLOW, MAC_DROP, NO_ROUTE
 from .radio import Frame, KIND_CONTROL, KIND_DATA, NodeMac
 
 # link status as verified by the collection-tree handshake
@@ -121,7 +121,7 @@ class NodeEngine:
     def on_control_lost(self, frame: Frame) -> None:
         """A unicast control frame exhausted its retries toward frame.dst."""
 
-    # -- send helpers ------------------------------------------------------
+    # -- send and timing helpers -------------------------------------------
 
     def send_control(self, msg: RouteMsg, dst: int) -> None:
         frame = Frame(self.addr, dst, encoded_size(msg), KIND_CONTROL,
@@ -140,6 +140,18 @@ class NodeEngine:
                       KIND_DATA, "data", None, pkt, source_route)
         if not self.mac.enqueue(frame):
             self.net.metrics.dropped(pkt, MAC_DROP)
+
+    def after_jitter(self, hi: float, fn, lo: float = 0.0) -> None:
+        """Run fn after a delay drawn uniformly on [lo, hi] seconds."""
+        self.sim.schedule_in(to_ticks(draw_uniform(self.rng, lo, hi)), fn)
+
+    def hold(self, buffer, capacity: int, pkt) -> None:
+        """Queue pkt in buffer, or drop it as an overflow when buffer is full."""
+        if len(buffer) >= capacity:
+            self.counters["buffer_overflow"] += 1
+            self.net.metrics.dropped(pkt, BUFFER_OVERFLOW)
+        else:
+            buffer.append(pkt)
 
     # -- backend hooks -----------------------------------------------------
 

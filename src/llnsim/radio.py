@@ -119,15 +119,22 @@ class Medium:
             self._links[a] = links
 
     def remove_node(self, addr: int) -> None:
-        """Scripted removal: the node stops hearing and being heard."""
+        """Scripted removal: the node stops hearing and being heard, and a
+        frame it is sending reaches no one."""
         self.positions.pop(addr, None)
         self._receive_fns.pop(addr, None)
         # it loses the frames it was hearing: a unicast to it is not acked
-        self._stamp[addr] += 1
+        stamp = self._stamp
+        stamp[addr] += 1
+        transmitting = addr in self._transmitting
         # links are symmetric, so only the node's neighbors list it; their
         # lists are replaced, not edited, as frames on the air still use them
         for nbr, *_ in self._links.pop(addr, ()):
             self._links[nbr] = [e for e in self._links[nbr] if e[0] != addr]
+            if transmitting:
+                # the rest of its frame is never sent, so no neighbor
+                # decodes it; a frame already overlapping it there was lost
+                stamp[nbr] += 1
 
     def airtime_ticks(self, payload_bytes: int) -> int:
         bits = (payload_bytes + LINK_HEADER_BYTES) * 8

@@ -15,7 +15,7 @@ from collections import deque
 
 from .kernel import to_ticks
 from .messages import BROADCAST, MsgKind, RouteMsg
-from .metrics import BUFFER_OVERFLOW, NO_ROUTE, UP
+from .metrics import NO_ROUTE, UP
 from .node import NodeEngine
 from .radio import Frame
 
@@ -104,10 +104,8 @@ class RplNode(NodeEngine):
             self._process_dio(msg, prev_hop)
         elif kind is MsgKind.DIS:
             self._process_dis(msg, prev_hop)
-        elif kind is MsgKind.DAO:
+        else:  # a DAO on its way to the root
             self._process_dao(msg, prev_hop)
-        else:
-            self.counters["ignored_msg"] += 1
 
     def _process_dio(self, m: RouteMsg, prev_hop: int) -> None:
         if self.is_root:
@@ -202,22 +200,22 @@ class RplNode(NodeEngine):
         if self.preferred is None:
             # not joined yet, or between parents; hold a few packets so a
             # short detach window does not shed the traffic crossing us
-            if len(self.buffer) >= self.rpl.buffer_capacity:
-                self.counters["buffer_overflow"] += 1
-                self.net.metrics.dropped(pkt, BUFFER_OVERFLOW)
-            else:
-                self.buffer.append(pkt)
-            return
-        self.send_data(pkt, self.preferred)
+            self.hold(self.buffer, self.rpl.buffer_capacity, pkt)
+        else:
+            self.send_data(pkt, self.preferred)
 
     def _downward(self, pkt) -> None:
         path = self._source_route(pkt.dst)
         if path is None:
             self.counters["no_route_drop"] += 1
             self.net.metrics.dropped(pkt, NO_ROUTE)
-            return
-        self.send_data(pkt, path[0], header_bytes=2 * len(path),
-                       source_route=tuple(path[1:]))
+        else:
+            self._send_source_routed(pkt, path)
+
+    def _send_source_routed(self, pkt, route) -> None:
+        """Send to route[0], carrying the rest; two header bytes per hop."""
+        self.send_data(pkt, route[0], header_bytes=2 * len(route),
+                       source_route=tuple(route[1:]))
 
     def _source_route(self, dst: int) -> list[int] | None:
         """Walk reported parents from dst back to here; None when incomplete."""
@@ -237,17 +235,13 @@ class RplNode(NodeEngine):
     def handle_data(self, frame: Frame, prev_hop: int) -> None:
         pkt = frame.packet
         if frame.source_route:
-            nxt = frame.source_route[0]
-            rest = frame.source_route[1:]
-            self.send_data(pkt, nxt, header_bytes=2 * len(frame.source_route),
-                           source_route=rest)
-            return
-        if pkt.direction == UP:
+            self._send_source_routed(pkt, frame.source_route)
+        elif pkt.direction == UP:
             self._upward(pkt)
-            return
-        # downward frame with an exhausted hop list that is not for us
-        self.counters["no_route_drop"] += 1
-        self.net.metrics.dropped(pkt, NO_ROUTE)
+        else:
+            # downward frame with an exhausted hop list that is not for us
+            self.counters["no_route_drop"] += 1
+            self.net.metrics.dropped(pkt, NO_ROUTE)
 
     # -- failure handling ---------------------------------------------------
 

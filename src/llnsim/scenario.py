@@ -208,18 +208,18 @@ def build_traffic_schedule(cfg: ScenarioConfig,
         return []
     sends: list[AppSend] = []
     traffic = cfg.traffic
-    for client in range(1, cfg.node_count):
-        t = draw_uniform(rng, 0.0, traffic.report_period)
-        while t < cfg.duration:
-            sends.append(AppSend(to_ticks(t), client, CONCENTRATOR,
-                                 traffic.report_bytes, UP, "report"))
-            t += traffic.report_period
-    for client in range(1, cfg.node_count):
-        t = draw_uniform(rng, 0.0, traffic.config_period)
-        while t < cfg.duration:
-            sends.append(AppSend(to_ticks(t), CONCENTRATOR, client,
-                                 traffic.config_bytes, DOWN, "config"))
-            t += traffic.config_period
+    # every client's report phase is drawn before any config phase
+    for period, payload, direction, kind in (
+            (traffic.report_period, traffic.report_bytes, UP, "report"),
+            (traffic.config_period, traffic.config_bytes, DOWN, "config")):
+        for client in range(1, cfg.node_count):
+            src, dst = ((client, CONCENTRATOR) if direction == UP
+                        else (CONCENTRATOR, client))
+            t = draw_uniform(rng, 0.0, period)
+            while t < cfg.duration:
+                sends.append(AppSend(to_ticks(t), src, dst, payload,
+                                     direction, kind))
+                t += period
     sends.sort(key=lambda s: (s.at, s.src, s.dst))
     return sends
 

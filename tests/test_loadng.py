@@ -111,6 +111,16 @@ def test_rrep_with_no_reverse_route_is_dropped_and_counted():
     assert control_rows(result, "rrep") == []
 
 
+def test_rerr_with_no_route_toward_its_destination_is_dropped_and_counted():
+    net = _chain_net()
+    msg = RouteMsg(MsgKind.RERR, originator=2, destination=0, unreachable=9)
+    net.sim.schedule_at(to_ticks(1.0),
+                        lambda: net.nodes[1]._process_rerr(msg, prev_hop=2))
+    result = net.run()
+    assert net.nodes[1].counters["rerr_no_route"] == 1
+    assert control_rows(result, "rerr") == []
+
+
 def test_expired_route_forces_rediscovery():
     net = _chain_net(duration=120.0)
     inject(net, 1.0, 0, 2, 64, DOWN, "config")

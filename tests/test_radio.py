@@ -148,6 +148,27 @@ def test_node_removed_mid_frame_loses_it_and_sends_no_ack():
     assert [ok for _, _, ok in h.resolved] == [False]
 
 
+def test_node_removed_while_sending_delivers_none_of_its_frame():
+    h = Harness({0: Position(0, 0), 1: Position(100, 0)})
+    h.send(1, 0)
+    busy = []
+
+    def remove():
+        h.macs[1].dead = True
+        h.medium.remove_node(1)
+
+    h.sim.schedule_at(5000, remove)
+    # carrier sense still hears the frame until its scheduled end
+    for at in (10_000, 17_000):
+        h.sim.schedule_at(at, lambda: busy.append(h.medium.busy_for(0)))
+    h.sim.run_until(5_000_000)
+    assert h.received == []
+    assert busy == [True, False]
+    # no ack and no result: the packet stays in the dead MAC's queue
+    assert h.resolved == []
+    assert len(h.macs[1].queue) == 1
+
+
 def test_a_node_that_starts_transmitting_loses_the_frame_it_hears():
     h = Harness({0: Position(0, 0), 1: Position(100, 0)})
     done = []

@@ -3,9 +3,11 @@ from __future__ import annotations
 
 from llnsim.kernel import to_seconds, to_ticks
 from llnsim.messages import BROADCAST, MsgKind, RouteMsg
-from llnsim.metrics import DELIVERED, DOWN, MAC_DROP, NO_ROUTE, UP
+from llnsim.metrics import (BUFFER_OVERFLOW, DELIVERED, DOWN, MAC_DROP,
+                            NO_ROUTE, UP)
 from llnsim.network import Network
 from llnsim.radio import Position
+from llnsim.scenario import RplParams
 
 from conftest import (CALM_RPL, bfs_hops, chain_positions, control_rows,
                       inject, quiet_cfg, random_connected_positions,
@@ -136,6 +138,18 @@ def test_prejoin_upward_traffic_is_buffered_until_the_first_dio():
     assert rec.fate == DELIVERED
     held = to_seconds(rec.delivered_at - rec.created_at)
     assert 0.4 < held < 2.0  # waited out the root's first beacon window
+
+
+def test_detached_buffer_sheds_what_exceeds_its_capacity():
+    net = _rpl_net(duration=30.0, rpl=RplParams(buffer_capacity=2))
+    for k in range(3):
+        inject(net, 0.5 + 0.01 * k, 1, 0, 512, UP, "report")
+    result = net.run()
+    records = result.metrics.records
+    assert [p.fate for p in records] == [DELIVERED, DELIVERED, BUFFER_OVERFLOW]
+    assert net.nodes[1].counters["buffer_overflow"] == 1
+    first_dio = root_ticks(result, "dio")[0]
+    assert all(p.delivered_at > first_dio for p in records[:2])
 
 
 def test_parent_loss_evicts_after_two_strikes_and_daos_the_new_parent():

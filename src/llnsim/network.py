@@ -78,8 +78,9 @@ class Network:
         self._ran = True
         for addr in sorted(self.nodes):
             self.nodes[addr].start()
-        for send in self.schedule:
-            self.sim.schedule_at(send.at, lambda s=send: self.app_send(s))
+        self.sim.schedule_series(
+            ((send.at, lambda s=send: self.app_send(s)) for send in self.schedule),
+            len(self.schedule))
         for time_s, addr in self.cfg.removals:
             self.sim.schedule_at(to_ticks(time_s),
                                  lambda a=addr: self.remove_node(a))

@@ -8,10 +8,14 @@ acks plus 61-byte config pushes every 300 s downward.
 from __future__ import annotations
 
 import configparser
+import heapq
 import math
 import random
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
+from typing import NamedTuple
 
 from .kernel import Checked, ConfigError, bounded, draw_uniform, to_ticks
 from .metrics import DOWN, UP, config_digest
@@ -185,8 +189,7 @@ def _reachable(positions: dict[int, Position], radio: RadioParams) -> set[int]:
     return seen
 
 
-@dataclass(frozen=True, slots=True)
-class AppSend:
+class AppSend(NamedTuple):
     """One scheduled application transmission."""
 
     at: int  # ticks
@@ -197,16 +200,62 @@ class AppSend:
     kind: str
 
 
+@dataclass(frozen=True, slots=True)
+class TrafficStream:
+    """One client's periodic sends: the first at `first` seconds, then every `period`."""
+
+    first: float
+    period: float
+    src: int
+    dst: int
+    payload_bytes: int
+    direction: str
+    kind: str
+
+    def times(self, duration: float) -> Iterator[float]:
+        # repeated addition, not first + k * period: the rounding of the
+        # running sum decides each tick, and a run is defined by these ticks
+        t = self.first
+        while t < duration:
+            yield t
+            t += self.period
+
+    def sends(self, duration: float) -> Iterator[AppSend]:
+        for t in self.times(duration):
+            yield AppSend(to_ticks(t), self.src, self.dst, self.payload_bytes,
+                          self.direction, self.kind)
+
+
+@dataclass(frozen=True)
+class TrafficSchedule:
+    """A run's periodic sends in (at, src, dst) order, generated on demand.
+
+    Iteration merges the per-client streams; the merge is stable, so sends
+    that share a key come out in stream order, exactly as a stable sort of
+    all the sends would give.  len() counts without building any send.
+    """
+
+    streams: tuple[TrafficStream, ...]
+    duration: float
+
+    def __iter__(self) -> Iterator[AppSend]:
+        return heapq.merge(*(s.sends(self.duration) for s in self.streams),
+                           key=attrgetter("at", "src", "dst"))
+
+    def __len__(self) -> int:
+        return sum(sum(1 for _ in s.times(self.duration)) for s in self.streams)
+
+
 def build_traffic_schedule(cfg: ScenarioConfig,
-                           rng: random.Random) -> list[AppSend]:
+                           rng: random.Random) -> TrafficSchedule:
     """Periodic sends for the whole run; a pure function of (cfg, seed).
 
     Only the periodic reports and config pushes appear here; the per-arrival
     acks are reactive and are generated when deliveries happen.
     """
     if not cfg.traffic_enabled:
-        return []
-    sends: list[AppSend] = []
+        return TrafficSchedule((), cfg.duration)
+    streams: list[TrafficStream] = []
     traffic = cfg.traffic
     # every client's report phase is drawn before any config phase
     for period, payload, direction, kind in (
@@ -215,13 +264,9 @@ def build_traffic_schedule(cfg: ScenarioConfig,
         for client in range(1, cfg.node_count):
             src, dst = ((client, CONCENTRATOR) if direction == UP
                         else (CONCENTRATOR, client))
-            t = draw_uniform(rng, 0.0, period)
-            while t < cfg.duration:
-                sends.append(AppSend(to_ticks(t), src, dst, payload,
-                                     direction, kind))
-                t += period
-    sends.sort(key=lambda s: (s.at, s.src, s.dst))
-    return sends
+            streams.append(TrafficStream(draw_uniform(rng, 0.0, period), period,
+                                         src, dst, payload, direction, kind))
+    return TrafficSchedule(tuple(streams), cfg.duration)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,19 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
+from hypothesis import settings
+
 from llnsim.kernel import to_ticks
 from llnsim.metrics import ControlRow
 from llnsim.network import Network
 from llnsim.radio import Position, RadioParams, reception_probability
 from llnsim.scenario import (AppSend, CtpParams, LoadngParams, RplParams,
                              ScenarioConfig)
+
+# tier-1 stays a pure function of the code: every property test draws the
+# same examples on every run
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 # the published campaign scenario files
 CAMPAIGNS = Path(__file__).resolve().parent.parent / "campaigns"

@@ -47,6 +47,96 @@ def test_scheduling_in_the_past_aborts():
         sim.schedule_at(4, lambda: None)
 
 
+def _noop():
+    pass
+
+
+def test_a_series_holds_one_pending_event():
+    sim = Simulator(seed=1)
+    fired = []
+    sim.schedule_series(((t, lambda t=t: fired.append(t)) for t in range(1000)),
+                        1000)
+    assert sim.pending() == 1
+    sim.run_until(499)
+    assert sim.pending() == 1
+    sim.run_until(10_000)
+    assert fired == list(range(1000))
+    assert sim.pending() == 0
+
+
+def test_a_series_item_in_the_past_aborts():
+    sim = Simulator(seed=1)
+    sim.run_until(10)
+    with pytest.raises(SimulationError, match="in the past"):
+        sim.schedule_series(iter([(5, _noop)]), 1)
+
+
+def test_a_series_out_of_order_aborts():
+    sim = Simulator(seed=1)
+    sim.schedule_series(iter([(10, _noop), (5, _noop)]), 2)
+    with pytest.raises(SimulationError, match="out of order"):
+        sim.run_until(20)
+
+
+def test_a_series_longer_than_its_count_aborts():
+    sim = Simulator(seed=1)
+    sim.schedule_series(iter([(1, _noop), (2, _noop), (3, _noop)]), 2)
+    with pytest.raises(SimulationError, match="more than its 2"):
+        sim.run_until(20)
+
+
+def test_a_series_shorter_than_its_count_aborts():
+    sim = Simulator(seed=1)
+    sim.schedule_series(iter([(1, _noop)]), 2)
+    with pytest.raises(SimulationError, match="yielded 1 events, expected 2"):
+        sim.run_until(20)
+
+
+@st.composite
+def _timelines(draw):
+    """Series ticks and one-off events on few ticks, each with follow-ups
+    that its handler schedules, most of them at the same tick."""
+    ticks = st.integers(min_value=0, max_value=6)
+    follow_ups = st.lists(st.sampled_from([0, 0, 0, 1, 3]), max_size=3)
+    series = sorted(draw(st.lists(ticks, max_size=25)))
+    return ([(t, draw(follow_ups)) for t in series],
+            draw(st.lists(st.tuples(ticks, follow_ups), max_size=6)),
+            draw(st.lists(st.tuples(ticks, follow_ups), max_size=6)))
+
+
+def _fire_order(timeline, lazy: bool) -> list:
+    series, before, after = timeline
+    sim = Simulator(seed=1)
+    log = []
+
+    def event(tag, follow_ups=()):
+        def fire():
+            log.append((sim.now, tag))
+            for j, delay in enumerate(follow_ups):
+                sim.schedule_in(delay, event((tag, j)))
+        return fire
+
+    for j, (t, follow) in enumerate(before):
+        sim.schedule_at(t, event(("before", j), follow))
+    items = [(t, event(("series", i), follow))
+             for i, (t, follow) in enumerate(series)]
+    if lazy:
+        sim.schedule_series(iter(items), len(items))
+    else:
+        for t, fn in items:
+            sim.schedule_at(t, fn)
+    for j, (t, follow) in enumerate(after):
+        sim.schedule_at(t, event(("after", j), follow))
+    sim.run_until(100)
+    return log
+
+
+@given(_timelines())
+@settings(max_examples=150)
+def test_a_series_fires_as_if_every_item_were_scheduled_up_front(timeline):
+    assert _fire_order(timeline, lazy=True) == _fire_order(timeline, lazy=False)
+
+
 def test_run_until_on_empty_queue_advances_clock():
     sim = Simulator(seed=1)
     sim.run_until(1234)

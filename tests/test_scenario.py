@@ -1,20 +1,24 @@
 """Topology generation, traffic schedules, config validation, INI loading."""
 from __future__ import annotations
 
+import gc
 import math
 import random
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llnsim import cli
-from llnsim.kernel import SimulationError, to_ticks
+from llnsim.kernel import SimulationError, draw_uniform, to_ticks
 from llnsim.metrics import DELIVERED, DOWN, UP
 from llnsim.network import Network
 from llnsim.radio import MacParams, Position, RadioParams
-from llnsim.scenario import (ConfigError, CtpParams, LoadngParams, RplParams,
-                             ScenarioConfig, TrafficProfile,
+from llnsim.scenario import (AppSend, ConfigError, CtpParams, LoadngParams,
+                             RplParams, ScenarioConfig, TrafficProfile,
                              build_traffic_schedule, generate_topology,
                              load_scenario)
 
@@ -82,20 +86,20 @@ def test_every_delivered_report_draws_exactly_one_ack():
 
 def test_schedule_is_pure_and_backend_independent():
     cfg = ScenarioConfig(node_count=5, duration=3600.0)
-    base = build_traffic_schedule(cfg, random.Random("9/traffic"))
-    again = build_traffic_schedule(cfg, random.Random("9/traffic"))
+    base = list(build_traffic_schedule(cfg, random.Random("9/traffic")))
+    again = list(build_traffic_schedule(cfg, random.Random("9/traffic")))
     assert base == again
     for backend in ("loadng", "loadng-ctp", "rpl"):
-        alt = build_traffic_schedule(replace(cfg, backend=backend),
-                                     random.Random("9/traffic"))
+        alt = list(build_traffic_schedule(replace(cfg, backend=backend),
+                                          random.Random("9/traffic")))
         assert alt == base
-    other = build_traffic_schedule(cfg, random.Random("10/traffic"))
+    other = list(build_traffic_schedule(cfg, random.Random("10/traffic")))
     assert other != base
 
 
 def test_eight_hour_run_schedules_480_reports_and_96_configs_per_client():
     cfg = ScenarioConfig(node_count=2, duration=28800.0)
-    sends = build_traffic_schedule(cfg, random.Random("3/traffic"))
+    sends = list(build_traffic_schedule(cfg, random.Random("3/traffic")))
     reports = [s for s in sends if s.kind == "report" and s.src == 1]
     configs = [s for s in sends if s.kind == "config" and s.dst == 1]
     assert len(reports) == 480
@@ -106,7 +110,79 @@ def test_eight_hour_run_schedules_480_reports_and_96_configs_per_client():
 
 def test_disabled_traffic_schedules_nothing():
     cfg = ScenarioConfig(traffic_enabled=False)
-    assert build_traffic_schedule(cfg, random.Random("1/traffic")) == []
+    assert list(build_traffic_schedule(cfg, random.Random("1/traffic"))) == []
+
+
+def _eager_schedule(cfg, rng):
+    """The schedule built whole: every send in stream order, then a stable sort."""
+    sends = []
+    traffic = cfg.traffic
+    for period, payload, direction, kind in (
+            (traffic.report_period, traffic.report_bytes, UP, "report"),
+            (traffic.config_period, traffic.config_bytes, DOWN, "config")):
+        for client in range(1, cfg.node_count):
+            src, dst = (client, 0) if direction == UP else (0, client)
+            t = draw_uniform(rng, 0.0, period)
+            while t < cfg.duration:
+                sends.append(AppSend(to_ticks(t), src, dst, payload, direction, kind))
+                t += period
+    sends.sort(key=lambda s: (s.at, s.src, s.dst))
+    return sends
+
+
+@given(node_count=st.integers(2, 12),
+       # periods under a microsecond put several sends of a stream on one tick
+       period=st.one_of(st.floats(1e-7, 1e-6), st.floats(1e-6, 100.0)),
+       config_ratio=st.floats(0.2, 5.0),
+       periods_per_run=st.floats(0.01, 40.0),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=80)
+def test_generated_schedule_equals_the_sorted_schedule(
+        node_count, period, config_ratio, periods_per_run, seed):
+    cfg = ScenarioConfig(
+        node_count=node_count, duration=period * periods_per_run, warmup=0.0,
+        traffic=TrafficProfile(report_period=period,
+                               config_period=period * config_ratio))
+    schedule = build_traffic_schedule(cfg, random.Random(f"{seed}/traffic"))
+    expected = _eager_schedule(cfg, random.Random(f"{seed}/traffic"))
+    sends = list(schedule)
+    assert sends == expected
+    assert len(schedule) == len(sends)
+    assert list(schedule) == sends
+
+
+def _build_peak_bytes(duration: float) -> int:
+    """tracemalloc peak while a 60-node rpl network is built and its sends counted."""
+    cfg = ScenarioConfig(backend="rpl", node_count=60, duration=duration)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        net = Network(cfg)
+        len(net.schedule)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_building_an_eight_hour_run_costs_what_half_an_hour_does():
+    _build_peak_bytes(1800.0)  # the first build fills caches every build shares
+    short = _build_peak_bytes(1800.0)
+    long = _build_peak_bytes(28800.0)
+    assert long - short <= 64 * 1024
+
+
+def test_pending_events_stay_bounded_through_a_long_run():
+    cfg = ScenarioConfig(backend="rpl", node_count=20, duration=7200.0)
+    net = Network(cfg)
+    samples = []
+
+    def probe():
+        samples.append(net.sim.pending())
+        net.sim.schedule_in(to_ticks(60.0), probe)
+    net.sim.schedule_at(0, probe)
+    net.run()
+    assert len(samples) == 121  # every minute, both ends included
+    assert max(samples) <= 20 * cfg.node_count
 
 
 @pytest.mark.parametrize("bad", [

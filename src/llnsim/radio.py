@@ -74,12 +74,12 @@ class Frame:
 class Medium:
     """Shared radio channel: static positions, precomputed link probabilities.
 
-    Each node counts the frames arriving at it now and keeps a stamp that
-    moves whenever a frame starts arriving there or the node starts to
-    transmit; a reception is intact if its receiver was idle at the start
-    and the stamp has not moved by the end.  Every in-range neighbor counts,
-    so carrier sense and collisions see frames it will discard; loss draws
-    are only spent on receivers that could accept the frame.
+    A frame on the air keeps its sender's row of in-range receivers from its
+    start; a new frame is checked against the frames already on the air, and
+    only those it overlaps keep a set of the receivers they lost.  Every
+    in-range neighbor counts, so carrier sense and collisions see frames it
+    will discard; loss draws are only spent on receivers that could accept
+    the frame, so a unicast costs its destination only.
     """
 
     def __init__(self, sim: Simulator, radio: RadioParams,
@@ -89,33 +89,30 @@ class Medium:
         self.on_control_tx = on_control_tx
         self.positions: dict[int, Position] = {}
         self._receive_fns: dict[int, object] = {}
-        # addr -> list of (nbr, prob, nbr_rng, nbr_receive_fn), by address
-        self._links: dict[int, list] = {}
-        self._hearing: dict[int, int] = {}  # frames arriving at the node now
-        self._stamp: dict[int, int] = {}  # moves as a frame or own tx starts
-        self._transmitting: set[int] = set()
+        # addr -> {nbr: (nbr, prob, nbr_rng, nbr_receive_fn)}, by address
+        self._links: dict[int, dict] = {}
+        self._on_air: dict[int, dict] = {}  # sender -> its row at the start
+        self._lost: dict[int, set] = {}  # sender -> receivers its frame lost
 
     def add_node(self, addr: int, position: Position, receive_fn) -> None:
         if addr in self.positions:
             raise SimulationError(f"duplicate node address {addr}")
         self.positions[addr] = position
         self._receive_fns[addr] = receive_fn
-        self._hearing[addr] = 0
-        self._stamp[addr] = 0
 
     def finalize(self) -> None:
         """Build per-node link tables once all nodes are placed."""
         addrs = sorted(self.positions)
         for a in addrs:
-            links = []
+            links = {}
             for b in addrs:
                 if b == a:
                     continue
                 dist = self.positions[a].distance_to(self.positions[b])
                 prob = reception_probability(dist, self.radio)
                 if prob > 0.0:
-                    links.append((b, prob, self.sim.node_stream(b),
-                                  self._receive_fns[b]))
+                    links[b] = (b, prob, self.sim.node_stream(b),
+                                self._receive_fns[b])
             self._links[a] = links
 
     def remove_node(self, addr: int) -> None:
@@ -123,18 +120,17 @@ class Medium:
         frame it is sending reaches no one."""
         self.positions.pop(addr, None)
         self._receive_fns.pop(addr, None)
-        # it loses the frames it was hearing: a unicast to it is not acked
-        stamp = self._stamp
-        stamp[addr] += 1
-        transmitting = addr in self._transmitting
+        # it loses the frames it was hearing: a unicast to it is not acked.
+        # Its own frame reaches no one but stays on the air to its scheduled
+        # end, so carrier sense still hears it
+        for sender, row in self._on_air.items():
+            self._lost.setdefault(sender, set()).update(
+                row if sender == addr else (addr,))
         # links are symmetric, so only the node's neighbors list it; their
-        # lists are replaced, not edited, as frames on the air still use them
-        for nbr, *_ in self._links.pop(addr, ()):
-            self._links[nbr] = [e for e in self._links[nbr] if e[0] != addr]
-            if transmitting:
-                # the rest of its frame is never sent, so no neighbor
-                # decodes it; a frame already overlapping it there was lost
-                stamp[nbr] += 1
+        # rows are replaced, not edited, as frames on the air still use them
+        links = self._links
+        for nbr in links.pop(addr, ()):
+            links[nbr] = {b: e for b, e in links[nbr].items() if b != addr}
 
     def airtime_ticks(self, payload_bytes: int) -> int:
         bits = (payload_bytes + LINK_HEADER_BYTES) * 8
@@ -142,7 +138,13 @@ class Medium:
 
     def busy_for(self, addr: int) -> bool:
         """Carrier sense: the node hears an ongoing frame or is on the air itself."""
-        return self._hearing[addr] > 0 or addr in self._transmitting
+        on_air = self._on_air
+        if addr in on_air:
+            return True
+        for row in on_air.values():
+            if addr in row:
+                return True
+        return False
 
     def transmit(self, sender: int, frame: Frame, on_done) -> None:
         """Put a frame on the air; on_done(ok) fires when the airtime ends.
@@ -151,46 +153,43 @@ class Medium:
         (always True for broadcast).  The caller must keep the sender's
         radio idle: one frame in flight per node.
         """
-        transmitting = self._transmitting
-        if sender in transmitting:
+        on_air = self._on_air
+        if sender in on_air:
             raise SimulationError(f"node {sender} is already transmitting")
-        transmitting.add(sender)
         if self.on_control_tx is not None and frame.kind == KIND_CONTROL:
             self.on_control_tx(self.sim.now, frame.label, sender,
                                frame.payload_bytes + LINK_HEADER_BYTES)
-        hearing = self._hearing
-        stamp = self._stamp
-        # a node cannot decode while it transmits
-        stamp[sender] += 1
-        links = self._links.get(sender, ())
-        marks = []
-        for entry in links:
-            nbr = entry[0]
-            stamp[nbr] += 1
-            marks.append(-1 if hearing[nbr] or nbr in transmitting else stamp[nbr])
-            hearing[nbr] += 1
+        row = self._links.get(sender, {})
+        for other, other_row in on_air.items():
+            # a receiver of both decodes neither, and a node on the air
+            # decodes nothing: the new sender loses what it was hearing and
+            # a transmitting neighbor loses the new frame
+            hit = row.keys() & other_row.keys()
+            if sender in other_row:
+                hit.add(sender)
+            if other in row:
+                hit.add(other)
+            if hit:
+                self._lost.setdefault(other, set()).update(hit)
+                self._lost.setdefault(sender, set()).update(hit)
+        on_air[sender] = row
         airtime = self.airtime_ticks(frame.payload_bytes)
-        self.sim.schedule_in(
-            airtime, lambda: self._finish(sender, frame, (links, marks), on_done))
+        self.sim.schedule_in(airtime, lambda: self._finish(sender, frame, on_done))
 
-    def _finish(self, sender: int, frame: Frame, receptions, on_done) -> None:
-        self._transmitting.discard(sender)
-        hearing = self._hearing
-        stamp = self._stamp
+    def _finish(self, sender: int, frame: Frame, on_done) -> None:
+        row = self._on_air.pop(sender)
+        lost = self._lost.pop(sender, ())
         dst = frame.dst
-        broadcast = dst == BROADCAST
-        ok = broadcast
+        ok = dst == BROADCAST
+        entries = row.values() if ok else (row[dst],) if dst in row else ()
         deliveries = []
-        for entry, mark in zip(*receptions):
-            nbr = entry[0]
-            hearing[nbr] -= 1
-            if mark != stamp[nbr] or not (broadcast or nbr == dst):
+        for entry in entries:
+            if entry[0] in lost:
                 continue
             prob = entry[1]
             if prob >= 1.0 or entry[2].random() < prob:
                 deliveries.append(entry)
-                if nbr == dst:
-                    ok = True
+                ok = True
         # dispatch after the loss draws so handlers cannot perturb them
         for entry in deliveries:
             entry[3](frame, sender)

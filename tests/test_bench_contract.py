@@ -63,3 +63,43 @@ def test_every_layer_probe_runs(name):
                          ids=[path for _, path, _ in COUNTERS])
 def test_every_counting_wrapper_target_resolves(mod_name, path, make):
     assert callable(_resolve(mod_name, path))
+
+
+def test_reception_count_is_the_senders_in_range_neighbors():
+    """``radio.receptions`` counts one record per link of the sender, read
+    as the length of the sender's row in the medium's link table; a removal
+    takes the node out of every row."""
+    from llnsim.kernel import Simulator
+    from llnsim.messages import BROADCAST
+    from llnsim.radio import (Frame, KIND_DATA, Medium, Position, RadioParams,
+                              reception_probability)
+
+    radio = RadioParams()
+    layout = {0: Position(0, 0), 1: Position(100, 0), 2: Position(0, 200),
+              3: Position(240, 0), 4: Position(900, 0)}
+    sim = Simulator(1)
+    medium = Medium(sim, radio)
+    for addr, pos in layout.items():
+        medium.add_node(addr, pos, lambda frame, sender: None)
+    medium.finalize()
+    t = tracer.Tracer()
+    make = {path: make for _, path, make in t._counters()}["Medium.transmit"]
+    counted = make(type(medium).transmit)
+
+    def in_range(a):
+        return sum(1 for b in layout if b != a and b in medium.positions
+                   and reception_probability(layout[a].distance_to(layout[b]),
+                                             radio) > 0.0)
+
+    assert [len(medium._links[a]) for a in layout] == [3, 3, 2, 2, 0]
+    for gone in (None, 1):
+        if gone is not None:
+            medium.remove_node(gone)
+        for a in medium.positions:
+            assert len(medium._links[a]) == in_range(a)
+            before = t.counts["receptions"]
+            counted(medium, a, Frame(a, BROADCAST, 24, KIND_DATA, "b"),
+                    lambda ok: None)
+            sim.run_until(sim.now + 100_000)
+            assert t.counts["receptions"] - before == in_range(a)
+    assert [len(medium._links[a]) for a in medium.positions] == [2, 1, 1, 0]

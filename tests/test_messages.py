@@ -1,6 +1,8 @@
 """Wire sizes, overhead labels, and circular sequence-number arithmetic."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -88,3 +90,10 @@ def test_forwarding_bumps_hop_count_only():
     assert fwd.hop_count == 4
     assert (fwd.kind, fwd.originator, fwd.destination, fwd.seq) == \
            (msg.kind, msg.originator, msg.destination, msg.seq)
+
+
+def test_forwarding_copies_every_other_field():
+    msg = RouteMsg(MsgKind.DAO, originator=3, destination=9, seq=40_000,
+                   hop_count=2, rrep_required=True, hello_neighbors=(1, 5),
+                   rank=512, dao_parent=4, unreachable=8)
+    assert msg.forwarded() == replace(msg, hop_count=3)

@@ -2,13 +2,13 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from llnsim.kernel import Simulator
+from llnsim.kernel import SimulationError, Simulator
 from llnsim.messages import BROADCAST
-from llnsim.radio import (Frame, KIND_DATA, LINK_HEADER_BYTES, MacParams,
-                          Medium, NodeMac, Position, RadioParams,
+from llnsim.radio import (Frame, KIND_CONTROL, KIND_DATA, LINK_HEADER_BYTES,
+                          MacParams, Medium, NodeMac, Position, RadioParams,
                           reception_probability)
 
 DEFAULT = RadioParams()
@@ -251,3 +251,205 @@ def test_dead_mac_rejects_frames():
     h = Harness({0: Position(0, 0), 1: Position(100, 0)})
     h.macs[0].dead = True
     assert h.send(0, 1) is False
+
+
+def test_a_unicast_draws_at_its_destination_only_and_leaves_no_state():
+    # 1, 2 and 3 are all in range of 0 over lossy links; only 1 is addressed
+    h = Harness({0: Position(0, 0), 1: Position(100, 0), 2: Position(0, 120),
+                 3: Position(-150, 0)}, radio=DEFAULT)
+    streams = {a: h.sim.node_stream(a) for a in (1, 2, 3)}
+    before = {a: rng.getstate() for a, rng in streams.items()}
+    done = []
+    h.medium.transmit(0, Frame(0, 1, 61, KIND_DATA, "d"), done.append)
+    assert all(h.medium.busy_for(a) for a in (0, 1, 2, 3))
+    h.sim.run_until(1_000_000)
+    assert len(done) == 1
+    assert streams[1].getstate() != before[1]
+    assert {a: streams[a].getstate() for a in (2, 3)} == \
+           {a: before[a] for a in (2, 3)}
+    assert h.medium._on_air == {} and h.medium._lost == {}
+    assert not any(h.medium.busy_for(a) for a in (0, 1, 2, 3))
+
+
+# -- the medium against a reference model ----------------------------------
+
+
+class StampMedium:
+    """Reference collision model: per-node hearing counts and stamps.
+
+    Each node counts the frames arriving at it now and keeps a stamp that
+    moves whenever a frame starts arriving there or the node starts to
+    transmit; a reception is intact if its receiver was idle at the start
+    and the stamp has not moved by the end.  It does work for every
+    in-range neighbor on every frame, which the medium avoids; the two must
+    agree on every delivery, every result, every carrier-sense answer and
+    every loss draw.
+    """
+
+    def __init__(self, sim, radio):
+        self.sim = sim
+        self.radio = radio
+        self.positions = {}
+        self._receive_fns = {}
+        self._links = {}
+        self._hearing = {}
+        self._stamp = {}
+        self._transmitting = set()
+
+    def add_node(self, addr, position, receive_fn):
+        self.positions[addr] = position
+        self._receive_fns[addr] = receive_fn
+        self._hearing[addr] = 0
+        self._stamp[addr] = 0
+
+    def finalize(self):
+        addrs = sorted(self.positions)
+        for a in addrs:
+            links = []
+            for b in addrs:
+                if b == a:
+                    continue
+                dist = self.positions[a].distance_to(self.positions[b])
+                prob = reception_probability(dist, self.radio)
+                if prob > 0.0:
+                    links.append((b, prob, self.sim.node_stream(b),
+                                  self._receive_fns[b]))
+            self._links[a] = links
+
+    def remove_node(self, addr):
+        self.positions.pop(addr, None)
+        self._receive_fns.pop(addr, None)
+        self._stamp[addr] += 1
+        transmitting = addr in self._transmitting
+        for nbr, *_ in self._links.pop(addr, ()):
+            self._links[nbr] = [e for e in self._links[nbr] if e[0] != addr]
+            if transmitting:
+                self._stamp[nbr] += 1
+
+    def busy_for(self, addr):
+        return self._hearing[addr] > 0 or addr in self._transmitting
+
+    def transmit(self, sender, frame, on_done):
+        if sender in self._transmitting:
+            raise SimulationError(f"node {sender} is already transmitting")
+        self._transmitting.add(sender)
+        hearing, stamp = self._hearing, self._stamp
+        stamp[sender] += 1
+        links = self._links.get(sender, ())
+        marks = []
+        for entry in links:
+            nbr = entry[0]
+            stamp[nbr] += 1
+            marks.append(-1 if hearing[nbr] or nbr in self._transmitting
+                         else stamp[nbr])
+            hearing[nbr] += 1
+        airtime = Medium.airtime_ticks(self, frame.payload_bytes)
+        self.sim.schedule_in(
+            airtime, lambda: self._finish(sender, frame, links, marks, on_done))
+
+    def _finish(self, sender, frame, links, marks, on_done):
+        self._transmitting.discard(sender)
+        broadcast = frame.dst == BROADCAST
+        ok = broadcast
+        deliveries = []
+        for entry, mark in zip(links, marks):
+            nbr = entry[0]
+            self._hearing[nbr] -= 1
+            if mark != self._stamp[nbr] or not (broadcast or nbr == frame.dst):
+                continue
+            if entry[1] >= 1.0 or entry[2].random() < entry[1]:
+                deliveries.append(entry)
+                ok = ok or nbr == frame.dst
+        for entry in deliveries:
+            entry[3](frame, sender)
+        on_done(ok)
+
+
+# frames start on whole units and every airtime is a whole number of units,
+# so many frames start on the very tick another ends
+UNIT = 256
+PAYLOADS = (0, 8, 16, 24)  # 2, 3, 4 and 5 units of airtime
+LAST_TICK = 40 * UNIT
+
+
+def _run_medium(medium_cls, radio, positions, frames, removals, probes):
+    """Drive one medium through a script; return its log and node streams.
+
+    A frame whose sender is on the air or removed is skipped, as the MAC
+    would hold it; a frame with a follow-up makes its sender send again
+    from inside its own completion, on the tick the first frame ends.
+    """
+    sim = Simulator(7)
+    medium = medium_cls(sim, radio)
+    log = []
+    sending, removed = set(), set()
+    for addr, pos in positions.items():
+        medium.add_node(addr, pos, lambda frame, sender, a=addr:
+                        log.append(("rx", sim.now, a, sender)))
+    medium.finalize()
+
+    def send(src, dst, payload, follow):
+        if src in sending or src in removed:
+            return
+        sending.add(src)
+
+        def done(ok):
+            sending.discard(src)
+            log.append(("done", sim.now, src, ok))
+            if follow is not None:
+                send(src, follow, payload, None)
+
+        medium.transmit(src, Frame(src, dst, payload, KIND_CONTROL, "c"), done)
+
+    def remove(addr):
+        if addr not in removed:
+            removed.add(addr)
+            medium.remove_node(addr)
+
+    def probe(addr):
+        log.append(("busy", sim.now, addr, medium.busy_for(addr)))
+
+    for unit, src, dst, payload, follow in frames:
+        sim.schedule_at(unit * UNIT,
+                        lambda a=(src, dst, payload, follow): send(*a))
+    for tick, addr in removals:
+        sim.schedule_at(tick, lambda a=addr: remove(a))
+    for tick, addr in probes:
+        sim.schedule_at(tick, lambda a=addr: probe(a))
+    sim.run_until(LAST_TICK + 20 * UNIT)
+    assert not sending
+    return log, [sim.node_stream(a).getstate() for a in positions]
+
+
+@st.composite
+def medium_scripts(draw):
+    n = draw(st.integers(3, 8))
+    radio = RadioParams(range_m=draw(st.sampled_from((60.0, 120.0, 250.0))),
+                        p_edge=draw(st.sampled_from((0.3, 0.8, 1.0))))
+    positions = {a: Position(draw(st.integers(0, 300)), draw(st.integers(0, 300)))
+                 for a in range(n)}
+    node = st.integers(0, n - 1)
+    # a unicast may go to any node, in range or not; -1 is broadcast
+    dst = st.integers(-1, n - 1).map(lambda d: BROADCAST if d < 0 else d)
+    frames = draw(st.lists(st.tuples(
+        st.integers(0, 30), node, dst, st.sampled_from(PAYLOADS),
+        st.none() | dst), min_size=1, max_size=16))
+    frames = [(u, s, BROADCAST if d == s else d, p,
+               BROADCAST if f == s else f) for u, s, d, p, f in frames]
+    # removals land inside a drawn frame's airtime, at its sender or its
+    # destination, or at any node at any tick
+    inside = st.tuples(st.sampled_from(frames), st.integers(1, 5 * UNIT - 1),
+                       st.booleans()).map(
+        lambda t: (t[0][0] * UNIT + t[1],
+                   t[0][1] if t[2] or t[0][2] == BROADCAST else t[0][2]))
+    removals = draw(st.lists(inside | st.tuples(st.integers(0, LAST_TICK), node),
+                             max_size=3))
+    probes = draw(st.lists(st.tuples(st.integers(0, LAST_TICK), node),
+                           max_size=12))
+    return radio, positions, frames, removals, probes
+
+
+@settings(max_examples=300)
+@given(medium_scripts())
+def test_medium_agrees_with_the_stamp_model(script):
+    assert _run_medium(Medium, *script) == _run_medium(StampMedium, *script)

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from .kernel import to_ticks
 from .messages import BROADCAST, MsgKind, RouteMsg, next_seq
-from .node import HEARD, SYM
-from .loadng import LoadngNode
+from .loadng import HEARD, SYM, LoadngNode
 
 
 class CtpNode(LoadngNode):

@@ -15,8 +15,23 @@ from dataclasses import dataclass, field
 from .kernel import to_ticks
 from .messages import BROADCAST, MsgKind, RouteMsg, next_seq, seq_newer
 from .metrics import DISCOVERY_TIMEOUT, NO_ROUTE
-from .node import HEARD, NodeEngine, RoutingSet, RoutingTuple, SYM
+from .node import NodeEngine
 from .radio import Frame
+
+# link status as verified by the collection-tree handshake
+HEARD = "heard"  # we received something from the neighbor
+SYM = "sym"  # the neighbor confirmed it also hears us
+
+
+@dataclass(slots=True)
+class RoutingTuple:
+    """The route to one destination, kept in ``LoadngNode.routes`` under it."""
+
+    next_hop: int
+    metric: int  # hop count toward the destination
+    seq: int  # freshness of the information that installed the tuple
+    valid_until: int | None  # tick of expiry; None never expires
+    status: str = SYM
 
 
 @dataclass(slots=True)
@@ -36,7 +51,7 @@ class LoadngNode(NodeEngine):
     def __init__(self, net, addr: int) -> None:
         super().__init__(net, addr)
         self.params = net.cfg.loadng
-        self.routes = RoutingSet()
+        self.routes: dict[int, RoutingTuple] = {}  # destination -> route
         self.seq = 0
         self.pending: dict[int, Discovery] = {}
         self.flood_seen: dict[tuple[int, int], int] = {}  # (orig, seq) -> best metric
@@ -60,7 +75,7 @@ class LoadngNode(NodeEngine):
         # data rides only confirmed routes: a tuple learned from an overheard
         # flood proves the link one way, so it serves control replies but not
         # application traffic until a unicast exchange confirms it
-        tup = self.routes.get_valid(pkt.dst, self.sim.now)
+        tup = self._route(pkt.dst)
         if tup is not None and tup.status == SYM:
             self._forward_data(pkt, tup)
         elif at_source or self.transit_discovery:
@@ -71,6 +86,15 @@ class LoadngNode(NodeEngine):
             self.counters["no_route_drop"] += 1
             self.net.metrics.dropped(pkt, NO_ROUTE)
             self._send_rerr(pkt.dst, pkt.src)
+
+    def _route(self, dest: int) -> RoutingTuple | None:
+        """The route to dest, or None; an expired route is deleted here."""
+        tup = self.routes.get(dest)
+        if (tup is not None and tup.valid_until is not None
+                and tup.valid_until < self.sim.now):
+            del self.routes[dest]
+            return None
+        return tup
 
     def _forward_data(self, pkt, tup: RoutingTuple) -> None:
         if tup.valid_until is not None:
@@ -117,8 +141,7 @@ class LoadngNode(NodeEngine):
         """Install when the information is fresher, or same-age but shorter."""
         if dest == self.addr:
             return False
-        now = self.sim.now
-        cur = self.routes.get_valid(dest, now)
+        cur = self._route(dest)
         if cur is not None:
             if status == HEARD and cur.status == SYM:
                 # an overheard flood neither degrades a confirmed route nor
@@ -128,9 +151,10 @@ class LoadngNode(NodeEngine):
             if not (seq_newer(seq, cur.seq)
                     or (seq == cur.seq and metric < cur.metric)):
                 return False
-        valid_until = None if self.permanent_routes else now + self.lifetime_ticks
-        self.routes.install(RoutingTuple(dest, next_hop, metric, seq,
-                                         valid_until, status))
+        valid_until = (None if self.permanent_routes
+                       else self.sim.now + self.lifetime_ticks)
+        self.routes[dest] = RoutingTuple(next_hop, metric, seq, valid_until,
+                                         status)
         if status == SYM:
             self._route_available(dest)
         return True
@@ -201,7 +225,7 @@ class LoadngNode(NodeEngine):
 
     def _unicast_toward(self, msg: RouteMsg) -> None:
         """Send a RREP or RERR one hop along the route to its destination."""
-        tup = self.routes.get_valid(msg.destination, self.sim.now)
+        tup = self._route(msg.destination)
         if tup is None:
             self.counters[f"{msg.kind.value}_no_route"] += 1
             return
@@ -219,7 +243,7 @@ class LoadngNode(NodeEngine):
     def _process_rerr(self, m: RouteMsg, prev_hop: int) -> None:
         tup = self.routes.get(m.unreachable)
         if tup is not None and tup.next_hop == prev_hop:
-            self.routes.remove(m.unreachable)
+            del self.routes[m.unreachable]
         if m.destination != self.addr:
             self._unicast_toward(m.forwarded())
 
@@ -233,7 +257,10 @@ class LoadngNode(NodeEngine):
 
     def on_broken_link(self, frame: Frame) -> None:
         pkt = frame.packet
-        invalidated = self.routes.invalidate_via(frame.dst)
+        invalidated = [dest for dest, tup in self.routes.items()
+                       if tup.next_hop == frame.dst]
+        for dest in invalidated:
+            del self.routes[dest]
         self.counters["link_breaks"] += 1
         if invalidated and pkt.src != self.addr:
             self._send_rerr(pkt.dst, pkt.src)

@@ -1,66 +1,12 @@
-"""Shared per-node scaffolding: the routing set and the MAC/engine glue."""
+"""The engine base every backend shares: MAC glue, send paths and timing helpers."""
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 
 from .kernel import Simulator, draw_uniform, to_ticks
 from .messages import RouteMsg, encoded_size
 from .metrics import BUFFER_OVERFLOW, MAC_DROP, NO_ROUTE
 from .radio import Frame, KIND_CONTROL, KIND_DATA, NodeMac
-
-# link status as verified by the collection-tree handshake
-HEARD = "heard"  # we received something from the neighbor
-SYM = "sym"  # the neighbor confirmed it also hears us
-
-
-@dataclass(slots=True)
-class RoutingTuple:
-    dest: int
-    next_hop: int
-    metric: int  # hop count toward dest
-    seq: int  # freshness of the information that installed the tuple
-    valid_until: int | None  # tick of expiry; None never expires
-    status: str = SYM
-
-
-class RoutingSet:
-    """At most one tuple per destination; expired tuples vanish on access."""
-
-    def __init__(self) -> None:
-        self._routes: dict[int, RoutingTuple] = {}
-
-    def get(self, dest: int) -> RoutingTuple | None:
-        """Raw lookup; may return an expired tuple."""
-        return self._routes.get(dest)
-
-    def get_valid(self, dest: int, now: int) -> RoutingTuple | None:
-        tup = self._routes.get(dest)
-        if tup is None:
-            return None
-        if tup.valid_until is not None and tup.valid_until < now:
-            del self._routes[dest]
-            return None
-        return tup
-
-    def install(self, tup: RoutingTuple) -> None:
-        self._routes[tup.dest] = tup
-
-    def remove(self, dest: int) -> None:
-        self._routes.pop(dest, None)
-
-    def invalidate_via(self, next_hop: int) -> list[int]:
-        gone = [dest for dest, tup in self._routes.items()
-                if tup.next_hop == next_hop]
-        for dest in gone:
-            del self._routes[dest]
-        return gone
-
-    def items(self):
-        return self._routes.items()
-
-    def __len__(self) -> int:
-        return len(self._routes)
 
 
 class NodeEngine:

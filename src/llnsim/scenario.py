@@ -155,11 +155,12 @@ def _grid_topology(cfg: ScenarioConfig, rng: random.Random) -> dict[int, Positio
     positions = {CONCENTRATOR: Position(side / 2, side / 2)}
     for i in range(1, cfg.node_count):
         positions[i] = Position(rng.uniform(0, side), rng.uniform(0, side))
+    # a reached node keeps its place and so its path: each pass asks only
+    # which of the re-placed nodes now join the reached set
+    reached = {CONCENTRATOR}
     resamples = 0
     while True:
-        reachable = _reachable(positions, cfg.radio)
-        stranded = [a for a in positions
-                    if a != CONCENTRATOR and a not in reachable]
+        stranded = _grow_reached(positions, cfg.radio, reached)
         if not stranded:
             return positions
         resamples += len(stranded)
@@ -172,21 +173,20 @@ def _grid_topology(cfg: ScenarioConfig, rng: random.Random) -> dict[int, Positio
             positions[addr] = Position(rng.uniform(0, side), rng.uniform(0, side))
 
 
-def _reachable(positions: dict[int, Position], radio: RadioParams) -> set[int]:
-    """Addresses with a multi-hop path to the concentrator."""
-    addrs = list(positions)
-    seen = {CONCENTRATOR}
-    frontier = deque([CONCENTRATOR])
-    while frontier:
-        cur = frontier.popleft()
-        pos = positions[cur]
-        for other in addrs:
-            if other in seen:
-                continue
-            if reception_probability(pos.distance_to(positions[other]), radio) > 0:
-                seen.add(other)
-                frontier.append(other)
-    return seen
+def _grow_reached(positions: dict[int, Position], radio: RadioParams,
+                  reached: set[int]) -> list[int]:
+    """Grow reached by every address linked into it; return the rest, in order."""
+    stranded = [a for a in positions if a not in reached]
+    frontier = deque(reached)
+    while frontier and stranded:
+        pos = positions[frontier.popleft()]
+        joined = [a for a in stranded if reception_probability(
+            pos.distance_to(positions[a]), radio) > 0]
+        if joined:
+            reached.update(joined)
+            frontier.extend(joined)
+            stranded = [a for a in stranded if a not in reached]
+    return stranded
 
 
 class AppSend(NamedTuple):

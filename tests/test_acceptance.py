@@ -13,9 +13,9 @@ import pytest
 
 from llnsim.experiment import expand_sweep, write_csv
 from llnsim.kernel import to_ticks
+from llnsim.loadng import SYM
 from llnsim.metrics import DELIVERED, DOWN, report_row
 from llnsim.network import Network, run_scenario
-from llnsim.node import SYM
 from llnsim.radio import Position
 from llnsim.scenario import ConfigError, ScenarioConfig, load_scenario
 

@@ -6,7 +6,10 @@ reported as ``not instrumented:`` and its per-layer figures read zero.
 These tests fail instead, so a rename in the program shows up here.  The
 layer probes are run once at a tiny size, so a change to the program they
 call that would break the traced run fails here too.  The benchmark
-modules are imported, never patched.
+modules are imported, never patched.  The output checks and the tracer's
+harvest are run on tiny finished networks, so a renamed piece of program
+state that they read (routes, counters, flood keys, MAC counters, record
+fields) fails here rather than in a benchmark run.
 """
 from __future__ import annotations
 
@@ -17,6 +20,9 @@ from pathlib import Path
 
 import pytest
 
+from llnsim.network import Network
+from llnsim.scenario import ScenarioConfig
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
 try:
@@ -24,6 +30,7 @@ try:
     for name in ("checks", "workloads"):
         importlib.import_module(name)
     probes = importlib.import_module("probes")
+    selftest = importlib.import_module("selftest")
     tracer = importlib.import_module("tracer")
 finally:
     sys.path.remove(str(BENCH))
@@ -103,3 +110,38 @@ def test_reception_count_is_the_senders_in_range_neighbors():
             sim.run_until(sim.now + 100_000)
             assert t.counts["receptions"] - before == in_range(a)
     assert [len(medium._links[a]) for a in medium.positions] == [2, 1, 1, 0]
+
+
+def test_every_output_check_passes_clean_runs_and_flags_planted_faults(tmp_path):
+    failed = [name for name, ok in selftest.cases(tmp_path) if not ok]
+    assert failed == []
+
+
+def test_harvest_reads_its_counts_from_finished_networks():
+    t = tracer.Tracer()  # not installed: only what harvest reads is under test
+    runs = []
+    for backend in ("loadng", "loadng-ctp", "rpl"):
+        net = Network(ScenarioConfig(backend=backend, node_count=6,
+                                     duration=300.0))
+        runs.append((net, net.run()))
+        t.networks.append(net)
+    t.sweeps.append([result for _, result in runs])
+    h = t.harvest()
+
+    engines = [e for net, _ in runs for e in net.nodes.values()]
+    macs = [e.mac for e in engines]
+    assert h["enqueued"] == sum(m.unicast_ok + m.unicast_fail + m.broadcast_done
+                                + len(m.queue) for m in macs) > 0
+    assert h["attempts"] == sum(m.transmissions for m in macs) > h["enqueued"]
+    assert h["queue_drops"] == sum(m.queue_drops for m in macs)
+    assert h["records"] == sum(len(r.metrics.records) for _, r in runs) > 0
+    assert h["control_log_rows"] == sum(len(r.metrics.control_log)
+                                        for _, r in runs) > 0
+    assert h["sends"] == sum(len(net.schedule) for net, _ in runs) > 0
+    reactive = [e for e in engines if e.net.cfg.backend != "rpl"]
+    assert h["dup_state_keys"] == sum(len(e.flood_seen) + len(e.reply_seq)
+                                      for e in reactive) > 0
+    # sends that beat the tree build fall back to reactive discovery
+    assert h["fallback_discoveries"] == sum(
+        e.counters["fallback_discovery"] for e in reactive) > 0
+    assert h["retained_bytes"] > 0 and h["sweep_bytes"] > 0

@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 from llnsim.kernel import to_ticks
+from llnsim.loadng import HEARD, SYM
 from llnsim.messages import BROADCAST, MsgKind, RouteMsg
 from llnsim.metrics import DELIVERED, DISCOVERY_TIMEOUT, NO_ROUTE, UP
 from llnsim.network import Network
-from llnsim.node import HEARD, SYM
 from llnsim.radio import Position
+from llnsim.scenario import CtpParams
 
 from conftest import (bfs_hops, chain_positions, control_rows, inject,
                       quiet_cfg, root_ticks, tree_rreps)
@@ -132,6 +133,33 @@ def test_build_requires_prior_trigger_and_a_symmetric_link():
     assert node.routes.get(0) is None
 
 
+def test_periodic_rebuild_retriggers_and_rebuilds_the_tree():
+    net = _ctp_net(4, duration=100.0, ctp=CtpParams(rebuild_interval=30.0))
+    result = net.run()
+    assert root_ticks(result, "rreq_trigger") == [to_ticks(t) for t in
+                                                  (0.0, 30.0, 60.0, 90.0)]
+    assert root_ticks(result, "rreq_build") == [to_ticks(t) for t in
+                                                (20.0, 50.0, 80.0)]
+    # hello_scheduled is never reset, so later triggers draw no new HELLO
+    hellos = control_rows(result, "hello")
+    assert sorted(row[2] for row in hellos) == [0, 1, 2, 3]
+    assert tree_rreps(result) == 9  # every router reports after every build
+    # seqs 1..7 went to trigger, build, ..., trigger: the last build took 6
+    assert net.nodes[0].seq == 7
+    for addr in (1, 2, 3):
+        tup = net.nodes[addr].routes[0]
+        assert (tup.next_hop, tup.metric, tup.seq) == (addr - 1, addr, 6)
+
+
+def test_build_without_reports_leaves_the_root_no_downward_route():
+    net = _ctp_net(4, ctp=CtpParams(rrep_required=False))
+    result = net.run()
+    assert tree_rreps(result) == 0
+    assert control_rows(result, "rrep") == []
+    assert net.nodes[0].routes == {}
+    assert [net.nodes[addr].routes[0].metric for addr in (1, 2, 3)] == [1, 2, 3]
+
+
 def test_tree_traffic_runs_with_zero_discoveries_and_goes_quiet():
     net = _ctp_net(3, duration=300.0, traffic_enabled=True)
     result = net.run()
@@ -156,7 +184,7 @@ def test_transit_route_loss_repaired_in_place_by_ctp_only():
     # identical surgery on both backends: the transit hop loses its route
     # to the root just before a packet from further out crosses it
     net = _ctp_net(3, duration=120.0)
-    net.sim.schedule_at(to_ticks(50.0), lambda: net.nodes[1].routes.remove(0))
+    net.sim.schedule_at(to_ticks(50.0), lambda: net.nodes[1].routes.pop(0, None))
     inject(net, 60.0, 2, 0, 512, UP, "report")
     result = net.run()
     assert result.metrics.records[0].fate == DELIVERED
@@ -165,7 +193,7 @@ def test_transit_route_loss_repaired_in_place_by_ctp_only():
     cfg = quiet_cfg(node_count=3, duration=120.0, warmup=0.0)
     plain = Network(cfg, chain_positions(3))
     inject(plain, 1.0, 2, 0, 512, UP, "report")  # establish the route
-    plain.sim.schedule_at(to_ticks(5.0), lambda: plain.nodes[1].routes.remove(0))
+    plain.sim.schedule_at(to_ticks(5.0), lambda: plain.nodes[1].routes.pop(0, None))
     inject(plain, 6.0, 2, 0, 512, UP, "report")
     result = plain.run()
     fates = [p.fate for p in result.metrics.records]

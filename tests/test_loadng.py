@@ -3,12 +3,12 @@ from __future__ import annotations
 
 from llnsim import messages
 from llnsim.kernel import to_ticks
+from llnsim.loadng import HEARD, SYM, RoutingTuple
 from llnsim.messages import MsgKind, RouteMsg
 from llnsim.metrics import (BUFFER_OVERFLOW, DELIVERED, DISCOVERY_TIMEOUT,
                             DOWN, MAC_DROP, UP)
 from llnsim.network import Network
-from llnsim.node import HEARD, SYM, RoutingTuple
-from llnsim.radio import Position
+from llnsim.radio import Frame, KIND_DATA, Position
 from llnsim.scenario import ScenarioConfig
 
 from conftest import (CALM_LOADNG, bfs_hops, chain_positions, control_rows,
@@ -205,17 +205,35 @@ def test_break_with_no_matching_routes_raises_no_rerr():
     assert control_rows(result, "rerr") == []
 
 
+def test_broken_link_drops_exactly_the_routes_via_the_lost_neighbor():
+    net = _chain_net()
+    node = net.nodes[1]
+    for dest, hop in ((9, 2), (0, 0), (7, 2), (8, 0)):
+        node.routes[dest] = RoutingTuple(hop, 1, 1, None, SYM)
+    pkt = net.metrics.new_packet(0, 9, 512, DOWN, "config", 0)
+
+    def poke():
+        node.on_broken_link(Frame(1, 2, 512, KIND_DATA, "d", None, pkt))
+        net.metrics.dropped(pkt, MAC_DROP)
+
+    net.sim.schedule_at(to_ticks(1.0), poke)
+    result = net.run()
+    assert list(node.routes) == [0, 8]
+    # the packet came from elsewhere, so its source hears of the break
+    assert [row[2] for row in control_rows(result, "rerr")] == [1]
+
+
 def test_rerr_invalidates_only_tuples_via_its_sender():
     net = _chain_net()
     routes = net.nodes[1].routes
-    routes.install(RoutingTuple(9, 2, 1, 1, None, SYM))
-    routes.install(RoutingTuple(8, 0, 1, 1, None, SYM))
+    routes[9] = RoutingTuple(2, 1, 1, None, SYM)
+    routes[8] = RoutingTuple(0, 1, 1, None, SYM)
     msg = RouteMsg(MsgKind.RERR, originator=2, destination=1, unreachable=9)
     net.nodes[1]._process_rerr(msg, prev_hop=2)
     assert routes.get(9) is None
     assert routes.get(8) is not None
     # same announcement from a node that is not the next hop changes nothing
-    routes.install(RoutingTuple(9, 2, 1, 1, None, SYM))
+    routes[9] = RoutingTuple(2, 1, 1, None, SYM)
     net.nodes[1]._process_rerr(msg, prev_hop=0)
     assert routes.get(9) is not None
 
@@ -290,14 +308,13 @@ def test_no_forwarding_loops_at_quiescence():
         for k in range(1, 10):
             inject(net, 5.0 + 65.0 * (k - 1), 0, k, 64, DOWN, "config")
         net.run()
-        end = net.sim.now
         for start in net.nodes:
             for dest, _ in list(net.nodes[start].routes.items()):
                 at, walked = start, []
                 while at != dest:
                     assert at not in walked, (seed, start, dest, walked)
                     walked.append(at)
-                    tup = net.nodes[at].routes.get_valid(dest, end)
+                    tup = net.nodes[at]._route(dest)
                     if tup is None or tup.status != SYM:
                         break  # a gap is a drop, not a loop
                     at = tup.next_hop

@@ -43,6 +43,38 @@ def test_grid_layout_is_centered_bounded_and_connected():
     assert len(bfs_hops(pos, cfg.radio)) == 20
 
 
+def _placed_by_full_bfs(cfg, rng):
+    """Grid placement with a whole-graph BFS on every pass, as the oracle."""
+    side = cfg.grid_side
+    pos = {0: Position(side / 2, side / 2)}
+    for a in range(1, cfg.node_count):
+        pos[a] = Position(rng.uniform(0, side), rng.uniform(0, side))
+    passes = 0
+    while True:
+        reached = bfs_hops(pos, cfg.radio)
+        stranded = [a for a in pos if a not in reached]
+        if not stranded:
+            return pos, passes
+        passes += 1
+        for a in stranded:
+            pos[a] = Position(rng.uniform(0, side), rng.uniform(0, side))
+
+
+def test_grid_placement_equals_a_full_bfs_on_every_pass():
+    resampled = 0
+    for n in (10, 30, 60):
+        for range_m in (150.0, 250.0):
+            for seed in range(1, 11):
+                cfg = ScenarioConfig(node_count=n, seed=seed,
+                                     radio=RadioParams(range_m=range_m))
+                want, passes = _placed_by_full_bfs(
+                    cfg, random.Random(f"{seed}/topo"))
+                got = generate_topology(cfg, random.Random(f"{seed}/topo"))
+                assert got == want, (n, range_m, seed)
+                resampled += passes > 0
+    assert resampled >= 40  # most of these layouts strand a node at first
+
+
 def test_line_layout_spans_the_concentrator_distance_evenly():
     cfg = ScenarioConfig(node_count=4, topology="distance-line",
                          concentrator_distance=300.0)

@@ -32,7 +32,6 @@ class CtpNode(LoadngNode):
         self.neighbor_status: dict[int, str] = {}
         self.trigger_received = self.is_root
         self.build_done = self.is_root
-        self.hello_scheduled = False
         # tree floods may take the tree's own traversal time to settle
         self.hold_ticks = 2 * max(self.ntt_ticks,
                                   to_ticks(self.ctp.net_traversal_time))
@@ -90,9 +89,6 @@ class CtpNode(LoadngNode):
         self._schedule_hello()
 
     def _schedule_hello(self) -> None:
-        if self.hello_scheduled:
-            return
-        self.hello_scheduled = True
         self.after_jitter(self.ctp.hello_max_jitter, self._send_hello,
                           lo=self.ctp.hello_min_jitter)
 
@@ -135,7 +131,7 @@ class CtpNode(LoadngNode):
 
     def _send_tree_rrep(self) -> None:
         """One RREP to the root per build, installing downward routes per hop."""
-        if self.dead or not self.build_done:
+        if self.mac.dead or not self.build_done:
             return
         self.seq = next_seq(self.seq)
         msg = RouteMsg(MsgKind.RREP, originator=self.addr,

@@ -6,7 +6,7 @@ import heapq
 import math
 import random
 from dataclasses import field, fields
-from typing import Callable, Iterable
+from typing import Callable
 
 TICKS_PER_SECOND = 1_000_000
 
@@ -103,44 +103,19 @@ class Simulator:
     def schedule_in(self, delay: int, fn: Callable[[], None]) -> None:
         self.schedule_at(self.now + delay, fn)
 
-    def schedule_series(self, events: Iterable[tuple[int, Callable[[], None]]],
-                        count: int) -> None:
-        """Schedule count (fire_at, fn) events, given in fire order, lazily.
+    def reserve(self, n: int) -> int:
+        """Reserve n insertion numbers; returns the first, for schedule_reserved."""
+        first = self._counter
+        self._counter += n
+        return first
 
-        The series' insertion numbers are reserved now, so every event gets
-        the heap key schedule_at would have given it in a loop here and the
-        fire order is the same; but only the next event of the series sits
-        on the queue, and each event pulls its successor as it fires.
-        """
-        base = self._counter
-        self._counter += count
-        items = iter(events)
-        queue = self._queue
-
-        def push(i: int, prev: float) -> None:
-            item = next(items, None)
-            if i == count:
-                if item is not None:
-                    raise SimulationError(
-                        f"series yielded more than its {count} events")
-                return
-            if item is None:
-                raise SimulationError(
-                    f"series yielded {i} events, expected {count}")
-            fire_at, fn = item
-            if fire_at < prev:
-                raise SimulationError(
-                    f"series out of order: {fire_at} after {prev}")
-            if fire_at < self.now:
-                raise SimulationError(
-                    f"event scheduled in the past: {fire_at} < now {self.now}")
-
-            def fire() -> None:
-                push(i + 1, fire_at)
-                fn()
-            heapq.heappush(queue, (fire_at, base + i, fire))
-
-        push(0, -math.inf)
+    def schedule_reserved(self, fire_at: int, order: int,
+                          fn: Callable[[], None]) -> None:
+        """Schedule fn under an insertion number taken earlier from reserve()."""
+        if fire_at < self.now:
+            raise SimulationError(
+                f"event scheduled in the past: {fire_at} < now {self.now}")
+        heapq.heappush(self._queue, (fire_at, order, fn))
 
     def pending(self) -> int:
         return len(self._queue)

@@ -78,9 +78,7 @@ class Network:
         self._ran = True
         for addr in sorted(self.nodes):
             self.nodes[addr].start()
-        self.sim.schedule_series(
-            ((send.at, lambda s=send: self.app_send(s)) for send in self.schedule),
-            len(self.schedule))
+        self._start_traffic()
         for time_s, addr in self.cfg.removals:
             self.sim.schedule_at(to_ticks(time_s),
                                  lambda a=addr: self.remove_node(a))
@@ -94,13 +92,33 @@ class Network:
         return RunResult(self.cfg, self._report(), self.metrics, self.nodes,
                          self.positions)
 
+    def _start_traffic(self) -> None:
+        # one insertion number per stream, each stream with one pending send
+        # under it: sends fire in tick order, and on one tick in stream, so
+        # (src, dst), order; a stream pushes its next send only after its
+        # last has popped, so no two pending keys are equal.  Reserved after
+        # every start() and before the removals, the block sits where
+        # numbering every send up front would have put it
+        streams = self.schedule.streams
+        first = self.sim.reserve(len(streams))
+        for rank, stream in enumerate(streams):
+            self._send_next(stream.sends(self.schedule.duration), first + rank)
+
+    def _send_next(self, sends, order: int) -> None:
+        send = next(sends, None)
+        if send is not None:
+            def fire() -> None:
+                self._send_next(sends, order)
+                self.app_send(send)
+            self.sim.schedule_reserved(send.at, order, fire)
+
     # -- application layer -----------------------------------------------------
 
     def app_send(self, send: AppSend) -> None:
         pkt = self.metrics.new_packet(send.src, send.dst, send.payload_bytes,
                                       send.direction, send.kind, self.sim.now)
         engine = self.nodes[send.src]
-        if engine.dead:
+        if engine.mac.dead:
             self.metrics.dropped(pkt, NO_ROUTE)
             return
         engine.handle_app_send(pkt)

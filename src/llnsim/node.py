@@ -19,7 +19,6 @@ class NodeEngine:
         self.rng = self.sim.node_stream(addr)
         self.mac = NodeMac(self.sim, net.medium, addr, net.cfg.mac,
                            on_result=self._mac_result)
-        self.dead = False
         self.counters: dict[str, int] = defaultdict(int)
 
     # -- lifecycle ---------------------------------------------------------
@@ -28,7 +27,6 @@ class NodeEngine:
         """Called once at t=0 before any traffic."""
 
     def kill(self) -> None:
-        self.dead = True
         self.mac.dead = True
 
     def held_packets(self) -> list:

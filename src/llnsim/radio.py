@@ -119,7 +119,6 @@ class Medium:
         """Scripted removal: the node stops hearing and being heard, and a
         frame it is sending reaches no one."""
         self.positions.pop(addr, None)
-        self._receive_fns.pop(addr, None)
         # it loses the frames it was hearing: a unicast to it is not acked.
         # Its own frame reaches no one but stays on the air to its scheduled
         # end, so carrier sense still hears it

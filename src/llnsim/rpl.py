@@ -44,14 +44,12 @@ class RplNode(NodeEngine):
         self.imax = self.imin << self.rpl.dio_interval_doublings
         self.interval = self.imin
         self.heard = 0
-        self._epoch = 0  # bumping it cancels stale fire/end events
-        self._trickle_running = False
+        self._epoch = 0  # 0 until trickle starts; bumping it cancels stale events
         # root-only: last reported parent per router, spliced into source routes
         self.parent_links: dict[int, int] = {}
 
     def start(self) -> None:
         if self.is_root:
-            self._trickle_running = True
             self._trickle_begin()
         else:
             self._dis_running = True
@@ -81,18 +79,17 @@ class RplNode(NodeEngine):
             self.send_control(msg, BROADCAST)
 
     def _trickle_end(self, epoch: int) -> None:
-        if epoch != self._epoch or self.dead:
+        if epoch != self._epoch or self.mac.dead:
             return
         self.interval = min(self.interval * 2, self.imax)
         self._trickle_begin()
 
     def _inconsistency(self) -> None:
-        if self._trickle_running and self.interval == self.imin:
+        if self._epoch and self.interval == self.imin:
             # already beaconing at the fastest cadence; restarting here
             # would let a steady stream of solicitations cancel every
             # pending fire and silence the beacon entirely
             return
-        self._trickle_running = True
         self.interval = self.imin
         self._trickle_begin()
 
@@ -142,7 +139,7 @@ class RplNode(NodeEngine):
             self._inconsistency()
 
     def _send_dis(self) -> None:
-        if self.dead or self.rank is not None:
+        if self.mac.dead or self.rank is not None:
             self._dis_running = False
             return
         msg = RouteMsg(MsgKind.DIS, originator=self.addr,
@@ -166,7 +163,7 @@ class RplNode(NodeEngine):
         self.sim.schedule_in(delay, self._emit_dao)
 
     def _emit_dao(self) -> None:
-        if self.dead:
+        if self.mac.dead:
             return
         if self.rank is not None and self.preferred is not None:
             msg = RouteMsg(MsgKind.DAO, originator=self.addr,

@@ -8,13 +8,11 @@ acks plus 61-byte config pushes every 300 s downward.
 from __future__ import annotations
 
 import configparser
-import heapq
 import math
 import random
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
-from operator import attrgetter
 from typing import NamedTuple
 
 from .kernel import Checked, ConfigError, bounded, draw_uniform, to_ticks
@@ -228,19 +226,14 @@ class TrafficStream:
 
 @dataclass(frozen=True)
 class TrafficSchedule:
-    """A run's periodic sends in (at, src, dst) order, generated on demand.
+    """A run's periodic sends, one stream per client and direction.
 
-    Iteration merges the per-client streams; the merge is stable, so sends
-    that share a key come out in stream order, exactly as a stable sort of
-    all the sends would give.  len() counts without building any send.
+    The streams are sorted by (src, dst): sends due on the same tick go out
+    in that order.  len() counts the sends without building any.
     """
 
     streams: tuple[TrafficStream, ...]
     duration: float
-
-    def __iter__(self) -> Iterator[AppSend]:
-        return heapq.merge(*(s.sends(self.duration) for s in self.streams),
-                           key=attrgetter("at", "src", "dst"))
 
     def __len__(self) -> int:
         return sum(sum(1 for _ in s.times(self.duration)) for s in self.streams)
@@ -266,6 +259,7 @@ def build_traffic_schedule(cfg: ScenarioConfig,
                         else (CONCENTRATOR, client))
             streams.append(TrafficStream(draw_uniform(rng, 0.0, period), period,
                                          src, dst, payload, direction, kind))
+    streams.sort(key=lambda s: (s.src, s.dst))
     return TrafficSchedule(tuple(streams), cfg.duration)
 
 

@@ -9,10 +9,13 @@ call that would break the traced run fails here too.  The benchmark
 modules are imported, never patched.  The output checks and the tracer's
 harvest are run on tiny finished networks, so a renamed piece of program
 state that they read (routes, counters, flood keys, MAC counters, record
-fields) fails here rather than in a benchmark run.
+fields) fails here rather than in a benchmark run.  The traced campaign
+checks every run that ``run_sweep`` returns, so a sweep's items must stay
+whole runs.
 """
 from __future__ import annotations
 
+import csv
 import importlib
 import math
 import sys
@@ -20,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from llnsim.experiment import expand_sweep, run_sweep, write_csv
 from llnsim.network import Network
 from llnsim.scenario import ScenarioConfig
 
@@ -27,8 +31,8 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
 try:
     # the benchmark's own modules must import against the program as it is
-    for name in ("checks", "workloads"):
-        importlib.import_module(name)
+    checks = importlib.import_module("checks")
+    importlib.import_module("workloads")
     probes = importlib.import_module("probes")
     selftest = importlib.import_module("selftest")
     tracer = importlib.import_module("tracer")
@@ -145,3 +149,15 @@ def test_harvest_reads_its_counts_from_finished_networks():
     assert h["fallback_discoveries"] == sum(
         e.counters["fallback_discovery"] for e in reactive) > 0
     assert h["retained_bytes"] > 0 and h["sweep_bytes"] > 0
+
+
+def test_every_run_a_sweep_returns_passes_the_output_checks(tmp_path):
+    base = ScenarioConfig(backend="loadng-ctp", node_count=6, duration=300.0,
+                          removals=((150.0, 3),))
+    results = run_sweep(expand_sweep(base, {"seeds": "2"}))
+    path = tmp_path / "sweep.csv"
+    write_csv(str(path), [r.report for r in results])
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(results) == 2
+    assert [checks.check_run(r, row) for r, row in zip(results, rows)] == [[], []]

@@ -140,9 +140,9 @@ def test_periodic_rebuild_retriggers_and_rebuilds_the_tree():
                                                   (0.0, 30.0, 60.0, 90.0)]
     assert root_ticks(result, "rreq_build") == [to_ticks(t) for t in
                                                 (20.0, 50.0, 80.0)]
-    # hello_scheduled is never reset, so later triggers draw no new HELLO
+    # every accepted trigger draws one HELLO, so each node sends one per round
     hellos = control_rows(result, "hello")
-    assert sorted(row[2] for row in hellos) == [0, 1, 2, 3]
+    assert sorted(row[2] for row in hellos) == sorted([0, 1, 2, 3] * 4)
     assert tree_rreps(result) == 9  # every router reports after every build
     # seqs 1..7 went to trigger, build, ..., trigger: the last build took 6
     assert net.nodes[0].seq == 7

@@ -51,61 +51,65 @@ def _noop():
     pass
 
 
-def test_a_series_holds_one_pending_event():
+def test_a_reserved_event_in_the_past_aborts():
     sim = Simulator(seed=1)
-    fired = []
-    sim.schedule_series(((t, lambda t=t: fired.append(t)) for t in range(1000)),
-                        1000)
-    assert sim.pending() == 1
-    sim.run_until(499)
-    assert sim.pending() == 1
-    sim.run_until(10_000)
-    assert fired == list(range(1000))
-    assert sim.pending() == 0
-
-
-def test_a_series_item_in_the_past_aborts():
-    sim = Simulator(seed=1)
+    order = sim.reserve(1)
     sim.run_until(10)
     with pytest.raises(SimulationError, match="in the past"):
-        sim.schedule_series(iter([(5, _noop)]), 1)
+        sim.schedule_reserved(5, order, _noop)
 
 
-def test_a_series_out_of_order_aborts():
+def test_a_reserved_number_fires_between_earlier_and_later_events():
     sim = Simulator(seed=1)
-    sim.schedule_series(iter([(10, _noop), (5, _noop)]), 2)
-    with pytest.raises(SimulationError, match="out of order"):
-        sim.run_until(20)
+    fired = []
+    sim.schedule_at(10, lambda: fired.append("before"))
+    first = sim.reserve(2)
+    sim.schedule_at(10, lambda: fired.append("after"))
+    sim.schedule_reserved(10, first + 1, lambda: fired.append("second"))
+    sim.schedule_reserved(10, first, lambda: fired.append("first"))
+    sim.run_until(10)
+    assert fired == ["before", "first", "second", "after"]
 
 
-def test_a_series_longer_than_its_count_aborts():
+def _chain(sim, order, items):
+    """Schedule (tick, fn) items under one reserved number, one at a time:
+    each pushes its successor as it fires, as a traffic stream does."""
+    items = iter(items)
+
+    def push():
+        item = next(items, None)
+        if item is not None:
+            fire_at, fn = item
+
+            def fire():
+                push()
+                fn()
+            sim.schedule_reserved(fire_at, order, fire)
+    push()
+
+
+def test_a_chain_out_of_order_aborts_at_the_past_gate():
     sim = Simulator(seed=1)
-    sim.schedule_series(iter([(1, _noop), (2, _noop), (3, _noop)]), 2)
-    with pytest.raises(SimulationError, match="more than its 2"):
-        sim.run_until(20)
-
-
-def test_a_series_shorter_than_its_count_aborts():
-    sim = Simulator(seed=1)
-    sim.schedule_series(iter([(1, _noop)]), 2)
-    with pytest.raises(SimulationError, match="yielded 1 events, expected 2"):
+    _chain(sim, sim.reserve(1), [(10, _noop), (5, _noop)])
+    with pytest.raises(SimulationError, match="in the past"):
         sim.run_until(20)
 
 
 @st.composite
 def _timelines(draw):
-    """Series ticks and one-off events on few ticks, each with follow-ups
-    that its handler schedules, most of them at the same tick."""
+    """Streams of sorted ticks and one-off events on few ticks, each with
+    follow-ups that its handler schedules, most of them at the same tick."""
     ticks = st.integers(min_value=0, max_value=6)
     follow_ups = st.lists(st.sampled_from([0, 0, 0, 1, 3]), max_size=3)
-    series = sorted(draw(st.lists(ticks, max_size=25)))
-    return ([(t, draw(follow_ups)) for t in series],
+    streams = [sorted(draw(st.lists(ticks, max_size=10)))
+               for _ in range(draw(st.integers(0, 4)))]
+    return ([[(t, draw(follow_ups)) for t in ts] for ts in streams],
             draw(st.lists(st.tuples(ticks, follow_ups), max_size=6)),
             draw(st.lists(st.tuples(ticks, follow_ups), max_size=6)))
 
 
 def _fire_order(timeline, lazy: bool) -> list:
-    series, before, after = timeline
+    streams, before, after = timeline
     sim = Simulator(seed=1)
     log = []
 
@@ -118,12 +122,17 @@ def _fire_order(timeline, lazy: bool) -> list:
 
     for j, (t, follow) in enumerate(before):
         sim.schedule_at(t, event(("before", j), follow))
-    items = [(t, event(("series", i), follow))
-             for i, (t, follow) in enumerate(series)]
+    items = [[(t, event(("stream", rank, i), follow))
+              for i, (t, follow) in enumerate(stream)]
+             for rank, stream in enumerate(streams)]
     if lazy:
-        sim.schedule_series(iter(items), len(items))
+        first = sim.reserve(len(items))
+        for rank, stream in enumerate(items):
+            _chain(sim, first + rank, stream)
     else:
-        for t, fn in items:
+        merged = sorted(((t, rank, fn) for rank, stream in enumerate(items)
+                         for t, fn in stream), key=lambda x: x[:2])
+        for t, _, fn in merged:
             sim.schedule_at(t, fn)
     for j, (t, follow) in enumerate(after):
         sim.schedule_at(t, event(("after", j), follow))
@@ -133,7 +142,7 @@ def _fire_order(timeline, lazy: bool) -> list:
 
 @given(_timelines())
 @settings(max_examples=150)
-def test_a_series_fires_as_if_every_item_were_scheduled_up_front(timeline):
+def test_chained_streams_fire_as_if_every_item_were_scheduled_up_front(timeline):
     assert _fire_order(timeline, lazy=True) == _fire_order(timeline, lazy=False)
 
 

@@ -118,31 +118,37 @@ def test_every_delivered_report_draws_exactly_one_ack():
 
 def test_schedule_is_pure_and_backend_independent():
     cfg = ScenarioConfig(node_count=5, duration=3600.0)
-    base = list(build_traffic_schedule(cfg, random.Random("9/traffic")))
-    again = list(build_traffic_schedule(cfg, random.Random("9/traffic")))
+    base = build_traffic_schedule(cfg, random.Random("9/traffic")).streams
+    again = build_traffic_schedule(cfg, random.Random("9/traffic")).streams
     assert base == again
     for backend in ("loadng", "loadng-ctp", "rpl"):
-        alt = list(build_traffic_schedule(replace(cfg, backend=backend),
-                                          random.Random("9/traffic")))
+        alt = build_traffic_schedule(replace(cfg, backend=backend),
+                                     random.Random("9/traffic")).streams
         assert alt == base
-    other = list(build_traffic_schedule(cfg, random.Random("10/traffic")))
+    other = build_traffic_schedule(cfg, random.Random("10/traffic")).streams
     assert other != base
 
 
 def test_eight_hour_run_schedules_480_reports_and_96_configs_per_client():
     cfg = ScenarioConfig(node_count=2, duration=28800.0)
-    sends = list(build_traffic_schedule(cfg, random.Random("3/traffic")))
-    reports = [s for s in sends if s.kind == "report" and s.src == 1]
-    configs = [s for s in sends if s.kind == "config" and s.dst == 1]
+    schedule = build_traffic_schedule(cfg, random.Random("3/traffic"))
+    # the streams come in (src, dst) order: the concentrator's pushes first
+    config, report = schedule.streams
+    assert (report.kind, report.src, report.dst) == ("report", 1, 0)
+    assert (config.kind, config.src, config.dst) == ("config", 0, 1)
+    reports = list(report.sends(cfg.duration))
+    configs = list(config.sends(cfg.duration))
     assert len(reports) == 480
     assert len(configs) == 96
-    assert all(s.at < to_ticks(28800.0) for s in sends)
-    assert sends == sorted(sends, key=lambda s: (s.at, s.src, s.dst))
+    assert len(schedule) == 480 + 96
+    assert all(s.at < to_ticks(28800.0) for s in reports + configs)
 
 
 def test_disabled_traffic_schedules_nothing():
     cfg = ScenarioConfig(traffic_enabled=False)
-    assert list(build_traffic_schedule(cfg, random.Random("1/traffic"))) == []
+    schedule = build_traffic_schedule(cfg, random.Random("1/traffic"))
+    assert schedule.streams == ()
+    assert len(schedule) == 0
 
 
 def _eager_schedule(cfg, rng):
@@ -173,14 +179,29 @@ def test_generated_schedule_equals_the_sorted_schedule(
         node_count, period, config_ratio, periods_per_run, seed):
     cfg = ScenarioConfig(
         node_count=node_count, duration=period * periods_per_run, warmup=0.0,
-        traffic=TrafficProfile(report_period=period,
-                               config_period=period * config_ratio))
-    schedule = build_traffic_schedule(cfg, random.Random(f"{seed}/traffic"))
-    expected = _eager_schedule(cfg, random.Random(f"{seed}/traffic"))
-    sends = list(schedule)
-    assert sends == expected
-    assert len(schedule) == len(sends)
-    assert list(schedule) == sends
+        seed=seed, traffic=TrafficProfile(report_period=period,
+                                          config_period=period * config_ratio))
+    net = Network(cfg, chain_positions(node_count))
+    sends = []
+    net.app_send = sends.append  # the run hands its sends over, nothing more
+    # the traffic part of run(), without the report: a run shorter than a
+    # tick still fires its sends, but run() aborts with no window to report
+    net._start_traffic()
+    net.sim.run_until(net.end_ticks)
+    assert sends == _eager_schedule(cfg, random.Random(f"{seed}/traffic"))
+    assert len(net.schedule) == len(sends)
+
+
+def test_a_run_holds_one_pending_send_per_stream():
+    cfg = ScenarioConfig(node_count=4, duration=3600.0)
+    net = Network(cfg, chain_positions(4))
+    pending = []
+    net.app_send = lambda send: pending.append(net.sim.pending())
+    net.run()
+    # the loadng engines schedule nothing unprompted, so only sends are queued
+    assert len(pending) == len(net.schedule)
+    assert max(pending) == len(net.schedule.streams) == 6
+    assert pending[-1] == 0
 
 
 def _build_peak_bytes(duration: float) -> int:

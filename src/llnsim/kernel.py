@@ -5,6 +5,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from collections import deque
 from dataclasses import field, fields
 from typing import Callable
 
@@ -62,7 +63,8 @@ def draw_uniform(rng: random.Random, lo: float, hi: float) -> float:
         raise SimulationError(f"uniform bounds reversed: {lo} > {hi}")
     if lo == hi:
         return lo
-    return rng.uniform(lo, hi)
+    # the expression Random.uniform evaluates, without its call
+    return lo + (hi - lo) * rng.random()
 
 
 class Simulator:
@@ -71,13 +73,17 @@ class Simulator:
     Events fire in (fire_at, insertion order), so simultaneous events run in
     the order they were scheduled and a run is a pure function of the
     configuration and seed.  Substreams are seeded from (seed, name) so one
-    node's draws never perturb another's.
+    node's draws never perturb another's.  Events due at the current tick
+    wait in a FIFO rather than the heap: they are numbered in the order
+    they arrive, so only a heap entry due now with a smaller number (one
+    reserved earlier) can run before them.
     """
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
         self.now = 0
         self._queue: list[tuple[int, int, Callable[[], None]]] = []
+        self._due: deque[tuple[int, Callable[[], None]]] = deque()  # at now
         self._counter = 0
         self._streams: dict[str, random.Random] = {}
 
@@ -94,10 +100,13 @@ class Simulator:
         return self.stream(f"node/{addr}")
 
     def schedule_at(self, fire_at: int, fn: Callable[[], None]) -> None:
-        if fire_at < self.now:
+        if fire_at == self.now:
+            self._due.append((self._counter, fn))
+        elif fire_at > self.now:
+            heapq.heappush(self._queue, (fire_at, self._counter, fn))
+        else:
             raise SimulationError(
                 f"event scheduled in the past: {fire_at} < now {self.now}")
-        heapq.heappush(self._queue, (fire_at, self._counter, fn))
         self._counter += 1
 
     def schedule_in(self, delay: int, fn: Callable[[], None]) -> None:
@@ -118,15 +127,30 @@ class Simulator:
         heapq.heappush(self._queue, (fire_at, order, fn))
 
     def pending(self) -> int:
-        return len(self._queue)
+        return len(self._queue) + len(self._due)
 
     def run_until(self, t_end: int) -> None:
         """Process every event with fire_at <= t_end, then advance the clock to t_end."""
+        now = self.now
+        if t_end < now:
+            return
         queue = self._queue
+        due = self._due
         pop = heapq.heappop
-        while queue and queue[0][0] <= t_end:
-            fire_at, _, fn = pop(queue)
-            self.now = fire_at
-            fn()
-        if t_end > self.now:
+        popleft = due.popleft
+        while True:
+            if due:
+                # the FIFO holds tick now only; a reserved number due now
+                # may still precede its head
+                if queue and queue[0][0] == now and queue[0][1] < due[0][0]:
+                    pop(queue)[2]()
+                else:
+                    popleft()[1]()
+            elif queue and queue[0][0] <= t_end:
+                now, _, fn = pop(queue)
+                self.now = now
+                fn()
+            else:
+                break
+        if t_end > now:
             self.now = t_end

@@ -22,6 +22,9 @@ from .radio import Frame
 HEARD = "heard"  # we received something from the neighbor
 SYM = "sym"  # the neighbor confirmed it also hears us
 
+# a module global: reading an Enum member off its class is slow
+_RREQ = MsgKind.RREQ
+
 
 @dataclass(slots=True)
 class RoutingTuple:
@@ -167,6 +170,33 @@ class LoadngNode(NodeEngine):
             self._dispatch(pkt, at_source=True)
 
     # -- control plane ------------------------------------------------------
+
+    def receive(self, frame: Frame, prev_hop: int) -> None:
+        """A RREQ copy goes straight to _process_rreq, and is dropped here
+        when _process_rreq would change nothing: a duplicate no better than
+        the copy recorded, with no flood key due to expire, and a live route
+        to the originator that would refuse it.  Most flood copies are such
+        duplicates, so this test is the flood's common path."""
+        m = frame.msg
+        if m is None or m.kind is not _RREQ:
+            super().receive(frame, prev_hop)
+            return
+        metric = m.hop_count + 1
+        seq = m.seq
+        best = self.flood_seen.get((m.originator, seq))
+        if best is not None and best <= metric:
+            now = self.sim.now
+            expiry = self._key_expiry
+            cur = self.routes.get(m.originator)
+            # _update_route's refusal, with a same-seq copy tested first
+            if ((not expiry or expiry[0][0] > now)
+                    and cur is not None
+                    and (cur.valid_until is None or cur.valid_until >= now)
+                    and (cur.status == SYM
+                         or (metric >= cur.metric if seq == cur.seq
+                             else not seq_newer(seq, cur.seq)))):
+                return
+        self._process_rreq(m, prev_hop)
 
     def handle_msg(self, msg: RouteMsg, prev_hop: int) -> None:
         kind = msg.kind

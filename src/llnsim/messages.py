@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from enum import StrEnum
 
 # 16-bit link-local addresses; the top value is reserved for broadcast
 BROADCAST = 0xFFFF
@@ -11,7 +11,8 @@ SEQ_MOD = 1 << 16
 SEQ_HALF = 1 << 15
 
 
-class MsgKind(Enum):
+class MsgKind(StrEnum):
+    # a StrEnum hashes and compares as its string value, in C
     RREQ = "rreq"
     TRIGGER = "rreq_trigger"  # collection tree: learn which neighbors hear us
     BUILD = "rreq_build"  # collection tree: install routes over symmetric links
@@ -38,11 +39,18 @@ BASE_SIZES = {
     MsgKind.DAO: 28,
 }
 HELLO_NEIGHBOR_BYTES = 2
+# the overhead-log label per message kind, a plain string
+LABELS = {kind: kind.value for kind in MsgKind}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RouteMsg:
-    """Immutable control message; forwarding produces a fresh copy."""
+    """Control message, never changed once built; forwarding builds a fresh copy.
+
+    Not frozen: a frozen dataclass costs several times as much to build, and
+    one broadcast copy reaches every receiver, so the handlers must only
+    read it (tests/test_messages.py guards this over whole runs).
+    """
 
     kind: MsgKind
     originator: int

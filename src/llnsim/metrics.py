@@ -71,7 +71,10 @@ class ControlLog:
 
     def append(self, now: int, label: str, node: int, on_air_bytes: int) -> None:
         self._ticks.append(now)
-        self._label_ids.append(_name_id(label, self._ids, self._labels))
+        lid = self._ids.get(label)
+        if lid is None:
+            lid = _name_id(label, self._ids, self._labels)
+        self._label_ids.append(lid)
         self._nodes.append(node)
         self._sizes.append(on_air_bytes)
 

@@ -4,9 +4,12 @@ from __future__ import annotations
 from collections import defaultdict
 
 from .kernel import Simulator, draw_uniform, to_ticks
-from .messages import RouteMsg, encoded_size
+from .messages import BASE_SIZES, LABELS, MsgKind, RouteMsg, encoded_size
 from .metrics import BUFFER_OVERFLOW, MAC_DROP, NO_ROUTE
 from .radio import Frame, KIND_CONTROL, KIND_DATA, NodeMac
+
+# a module global: reading an Enum member off its class is slow
+_HELLO = MsgKind.HELLO
 
 
 class NodeEngine:
@@ -68,9 +71,10 @@ class NodeEngine:
     # -- send and timing helpers -------------------------------------------
 
     def send_control(self, msg: RouteMsg, dst: int) -> None:
-        frame = Frame(self.addr, dst, encoded_size(msg), KIND_CONTROL,
-                      msg.kind.value, msg)
-        self.mac.enqueue(frame)
+        kind = msg.kind
+        size = encoded_size(msg) if kind is _HELLO else BASE_SIZES[kind]
+        self.mac.enqueue(Frame(self.addr, dst, size, KIND_CONTROL,
+                               LABELS[kind], msg))
 
     def send_data(self, pkt, next_hop: int, header_bytes: int = 0,
                   source_route: tuple[int, ...] = ()) -> None:

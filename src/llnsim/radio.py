@@ -93,6 +93,7 @@ class Medium:
         self._links: dict[int, dict] = {}
         self._on_air: dict[int, dict] = {}  # sender -> its row at the start
         self._lost: dict[int, set] = {}  # sender -> receivers its frame lost
+        self._airtimes: dict[int, int] = {}  # payload bytes -> airtime ticks
 
     def add_node(self, addr: int, position: Position, receive_fn) -> None:
         if addr in self.positions:
@@ -101,19 +102,27 @@ class Medium:
         self._receive_fns[addr] = receive_fn
 
     def finalize(self) -> None:
-        """Build per-node link tables once all nodes are placed."""
+        """Build per-node link tables once all nodes are placed.
+
+        Each pair is measured once: hypot ignores sign and IEEE subtraction
+        negates exactly, so both directions get the bit-identical
+        probability.  Rows fill in address order.
+        """
         addrs = sorted(self.positions)
+        # (rng, receive_fn) per node, the tail of every entry naming it
+        ends = {a: (self.sim.node_stream(a), self._receive_fns[a]) for a in addrs}
+        links = self._links
         for a in addrs:
-            links = {}
-            for b in addrs:
-                if b == a:
-                    continue
-                dist = self.positions[a].distance_to(self.positions[b])
-                prob = reception_probability(dist, self.radio)
+            links[a] = {}
+        for i, a in enumerate(addrs):
+            pos_a = self.positions[a]
+            row_a = links[a]
+            for b in addrs[i + 1:]:
+                prob = reception_probability(
+                    pos_a.distance_to(self.positions[b]), self.radio)
                 if prob > 0.0:
-                    links[b] = (b, prob, self.sim.node_stream(b),
-                                self._receive_fns[b])
-            self._links[a] = links
+                    row_a[b] = (b, prob, *ends[b])
+                    links[b][a] = (a, prob, *ends[a])
 
     def remove_node(self, addr: int) -> None:
         """Scripted removal: the node stops hearing and being heard, and a
@@ -159,20 +168,24 @@ class Medium:
             self.on_control_tx(self.sim.now, frame.label, sender,
                                frame.payload_bytes + LINK_HEADER_BYTES)
         row = self._links.get(sender, {})
-        for other, other_row in on_air.items():
-            # a receiver of both decodes neither, and a node on the air
-            # decodes nothing: the new sender loses what it was hearing and
-            # a transmitting neighbor loses the new frame
-            hit = row.keys() & other_row.keys()
-            if sender in other_row:
-                hit.add(sender)
-            if other in row:
-                hit.add(other)
-            if hit:
-                self._lost.setdefault(other, set()).update(hit)
-                self._lost.setdefault(sender, set()).update(hit)
+        if on_air:
+            for other, other_row in on_air.items():
+                # a receiver of both decodes neither, and a node on the air
+                # decodes nothing: the new sender loses what it was hearing and
+                # a transmitting neighbor loses the new frame
+                hit = row.keys() & other_row.keys()
+                if sender in other_row:
+                    hit.add(sender)
+                if other in row:
+                    hit.add(other)
+                if hit:
+                    self._lost.setdefault(other, set()).update(hit)
+                    self._lost.setdefault(sender, set()).update(hit)
         on_air[sender] = row
-        airtime = self.airtime_ticks(frame.payload_bytes)
+        size = frame.payload_bytes
+        airtime = self._airtimes.get(size)
+        if airtime is None:
+            airtime = self._airtimes[size] = self.airtime_ticks(size)
         self.sim.schedule_in(airtime, lambda: self._finish(sender, frame, on_done))
 
     def _finish(self, sender: int, frame: Frame, on_done) -> None:
@@ -181,14 +194,10 @@ class Medium:
         dst = frame.dst
         ok = dst == BROADCAST
         entries = row.values() if ok else (row[dst],) if dst in row else ()
-        deliveries = []
-        for entry in entries:
-            if entry[0] in lost:
-                continue
-            prob = entry[1]
-            if prob >= 1.0 or entry[2].random() < prob:
-                deliveries.append(entry)
-                ok = True
+        # one draw per receiver that could accept the frame, in row order
+        deliveries = [entry for entry in entries if entry[0] not in lost
+                      and (entry[1] >= 1.0 or entry[2].random() < entry[1])]
+        ok = ok or bool(deliveries)
         # dispatch after the loss draws so handlers cannot perturb them
         for entry in deliveries:
             entry[3](frame, sender)

@@ -106,8 +106,10 @@ class ScenarioConfig(Checked):
         if self.topology not in TOPOLOGIES:
             raise ConfigError(f"unknown topology {self.topology!r}; "
                               f"expected one of {TOPOLOGIES}")
-        if self.warmup >= self.duration:
-            raise ConfigError("warmup must satisfy 0 <= warmup < duration")
+        if to_ticks(self.duration) <= to_ticks(self.warmup):
+            # the clock counts whole microseconds: a shorter window is empty
+            raise ConfigError("warmup must end at least one microsecond "
+                              "tick before duration")
         if self.topology == "distance-line":
             if not 0 < self.concentrator_distance <= self.grid_side:
                 raise ConfigError("concentrator_distance must lie in (0, grid_side]")

@@ -161,3 +161,39 @@ def test_every_run_a_sweep_returns_passes_the_output_checks(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(results) == 2
     assert [checks.check_run(r, row) for r, row in zip(results, rows)] == [[], []]
+
+
+def test_tracer_scheduler_keeps_the_kernel_order_over_events_due_now():
+    """The traced run schedules every event through the tracer's wrapper of
+    ``Simulator.schedule_at``; events due at the current tick wait in the
+    kernel's FIFO, and through the wrapper they must still fire in (tick,
+    number) order, count as zero-delay, and count as pending."""
+    from llnsim.kernel import Simulator
+
+    t = tracer.Tracer()  # not installed: the wrapper is applied by hand
+    schedule_at = t._scheduler(Simulator.schedule_at)
+    sim = Simulator(1)
+    scheduled, fired = [], []
+    zero_delay = 0
+
+    def at(fire_at, children=()):
+        nonlocal zero_delay
+        zero_delay += fire_at == sim.now
+        key = (fire_at, len(scheduled))
+        scheduled.append(key)
+
+        def fire():
+            fired.append(key)
+            for delay in children:
+                at(sim.now + delay, children[1:])
+        schedule_at(sim, fire_at, fire)
+
+    for _ in range(3):
+        at(0, (0, 5, 0))
+    # nothing but the three events due now is pending
+    assert t.counts["peak_pending"] == 3
+    at(5, (0, 0))
+    at(2, (0,))
+    sim.run_until(100)
+    assert fired == sorted(scheduled) and len(fired) == 55
+    assert t.counts["zero_delay"] == zero_delay == 41

@@ -135,7 +135,10 @@ def test_cli_runs_the_published_distance_campaign(tmp_path, capsys):
     # window 1 << (exponent + retries) would overflow or outlast any run
     "[scenario]\nnode_count = 5\nduration = 300\n[mac]\nmax_backoff_exponent = 2000\n",
     "[scenario]\nnode_count = 5\nduration = 300\n[mac]\nmax_retries = 2000\n",
-], ids=["jitter-rule", "unplaceable", "backoff-exponent", "retries"])
+    # warmup below duration, but both round to the same microsecond tick
+    "[scenario]\nnode_count = 2\nduration = 60.0000004\nwarmup = 60\n",
+], ids=["jitter-rule", "unplaceable", "backoff-exponent", "retries",
+        "sub-tick-window"])
 def test_cli_reports_bad_configuration_on_exit_code_two(tmp_path, capsys, text):
     ini = tmp_path / "bad.ini"
     ini.write_text(text)

@@ -1,6 +1,8 @@
 """Event ordering, clock discipline, and seeded randomness."""
 from __future__ import annotations
 
+import heapq
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,6 +73,44 @@ def test_a_reserved_number_fires_between_earlier_and_later_events():
     assert fired == ["before", "first", "second", "after"]
 
 
+def test_zero_delay_events_keep_their_place_around_a_reserved_send():
+    sim = Simulator(seed=1)
+    fired = []
+
+    def at_ten():
+        sim.schedule_in(0, lambda: fired.append("before"))
+        order = sim.reserve(1)
+        sim.schedule_in(0, lambda: fired.append("after"))
+        sim.schedule_reserved(10, order, lambda: fired.append("reserved"))
+    sim.schedule_at(10, at_ten)
+    sim.run_until(10)
+    assert fired == ["before", "reserved", "after"]
+
+
+def test_pending_counts_events_due_now_and_later():
+    sim = Simulator(seed=1)
+    for _ in range(3):
+        sim.schedule_at(0, _noop)
+    sim.schedule_at(5, _noop)
+    sim.schedule_reserved(0, sim.reserve(1), _noop)
+    assert sim.pending() == 5
+    sim.run_until(0)
+    assert sim.pending() == 1
+    sim.run_until(5)
+    assert sim.pending() == 0
+
+
+def test_run_until_a_past_tick_leaves_events_due_now_waiting():
+    sim = Simulator(seed=1)
+    sim.run_until(10)
+    fired = []
+    sim.schedule_at(10, lambda: fired.append(sim.now))
+    sim.run_until(5)
+    assert (fired, sim.now, sim.pending()) == ([], 10, 1)
+    sim.run_until(10)
+    assert fired == [10]
+
+
 def _chain(sim, order, items):
     """Schedule (tick, fn) items under one reserved number, one at a time:
     each pushes its successor as it fires, as a traffic stream does."""
@@ -108,16 +148,38 @@ def _timelines(draw):
             draw(st.lists(st.tuples(ticks, follow_ups), max_size=6)))
 
 
-def _fire_order(timeline, lazy: bool) -> list:
+class HeapSimulator(Simulator):
+    """The reference kernel: every event in the one heap, the FIFO unused."""
+
+    def schedule_at(self, fire_at, fn):
+        if fire_at < self.now:
+            raise SimulationError(
+                f"event scheduled in the past: {fire_at} < now {self.now}")
+        heapq.heappush(self._queue, (fire_at, self._counter, fn))
+        self._counter += 1
+
+    def run_until(self, t_end):
+        queue = self._queue
+        while queue and queue[0][0] <= t_end:
+            fire_at, _, fn = heapq.heappop(queue)
+            self.now = fire_at
+            fn()
+        if t_end > self.now:
+            self.now = t_end
+
+
+def _fire_order(timeline, lazy: bool, kernel=Simulator) -> list:
     streams, before, after = timeline
-    sim = Simulator(seed=1)
+    sim = kernel(seed=1)
     log = []
 
     def event(tag, follow_ups=()):
+        # each follow-up schedules the ones after it in turn, so zero-delay
+        # children nest several deep
         def fire():
             log.append((sim.now, tag))
             for j, delay in enumerate(follow_ups):
-                sim.schedule_in(delay, event((tag, j)))
+                sim.schedule_in(delay, event((tag, j), follow_ups[j + 1:]))
         return fire
 
     for j, (t, follow) in enumerate(before):
@@ -143,7 +205,10 @@ def _fire_order(timeline, lazy: bool) -> list:
 @given(_timelines())
 @settings(max_examples=150)
 def test_chained_streams_fire_as_if_every_item_were_scheduled_up_front(timeline):
-    assert _fire_order(timeline, lazy=True) == _fire_order(timeline, lazy=False)
+    reference = _fire_order(timeline, lazy=False, kernel=HeapSimulator)
+    assert _fire_order(timeline, lazy=True, kernel=HeapSimulator) == reference
+    assert _fire_order(timeline, lazy=True) == reference
+    assert _fire_order(timeline, lazy=False) == reference
 
 
 def test_run_until_on_empty_queue_advances_clock():

@@ -1,6 +1,12 @@
 """Reactive discovery: floods, replies, expiry, breaks, and rediscovery."""
 from __future__ import annotations
 
+from unittest import mock
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from llnsim import messages
 from llnsim.kernel import to_ticks
 from llnsim.loadng import HEARD, SYM, RoutingTuple
@@ -8,7 +14,7 @@ from llnsim.messages import MsgKind, RouteMsg
 from llnsim.metrics import (BUFFER_OVERFLOW, DELIVERED, DISCOVERY_TIMEOUT,
                             DOWN, MAC_DROP, UP)
 from llnsim.network import Network
-from llnsim.radio import Frame, KIND_DATA, Position
+from llnsim.radio import Frame, KIND_CONTROL, KIND_DATA, Position
 from llnsim.scenario import ScenarioConfig
 
 from conftest import (CALM_LOADNG, bfs_hops, chain_positions, control_rows,
@@ -318,3 +324,92 @@ def test_no_forwarding_loops_at_quiescence():
                     if tup is None or tup.status != SYM:
                         break  # a gap is a drop, not a loop
                     at = tup.next_hop
+
+
+# -- the one-call duplicate test in LoadngNode.receive ---------------------
+
+_LIFETIME = to_ticks(15.0)  # LoadngParams defaults: route lifetime 15 s,
+_HOLD = to_ticks(20.0)  # flood keys held twice the 10 s traversal time
+
+# few keys, so copies repeat: seqs on both sides of the 16-value wrap
+_seqs = st.sampled_from([0, 1, 8, 15])
+_peers = st.sampled_from([0, 2])
+_ops = st.one_of(
+    # (op, originator, seq, hop count, prev hop, destination)
+    st.tuples(st.just("rreq"), st.sampled_from([0, 1, 2]), _seqs,
+              st.integers(0, 3), _peers, st.sampled_from([1, 3])),
+    st.tuples(st.just("rrep"), _peers, _seqs, st.integers(0, 3), _peers,
+              st.sampled_from([1, 3])),
+    st.tuples(st.just("rerr"), _peers, _seqs, st.integers(0, 3), _peers,
+              st.sampled_from([1, 3])),
+    st.tuples(st.just("wait"), st.sampled_from(
+        [0, 1, to_ticks(1.0), to_ticks(5.0), _LIFETIME - 1, _LIFETIME,
+         _LIFETIME + 1, _HOLD, _HOLD + 1])))
+
+
+def _isolated_node(backend: str):
+    """Node 1 of a two-node network, out of the other's range: it hears
+    only what the test hands it, and what it sends reaches no one."""
+    cfg = quiet_cfg(backend=backend, node_count=2, duration=600.0,
+                    warmup=0.0)
+    net = Network(cfg, {0: Position(0.0, 0.0), 1: Position(900.0, 0.0)})
+    return net, net.nodes[1]
+
+
+def _node_state(net, node) -> tuple:
+    return (net.sim.now, net.sim.pending(), node.seq, node.routes,
+            node.flood_seen, node.reply_seq, list(node._key_expiry),
+            node.pending, dict(node.counters),
+            list(net.metrics.control_log))
+
+
+@pytest.mark.parametrize("backend", ["loadng", "loadng-ctp"])
+@given(ops=st.lists(_ops, min_size=5, max_size=60))
+@settings(max_examples=200)
+# a route lost while its flood key is held comes back worse than the best
+# copy, so a copy between the two must still improve it
+@example(ops=[("rreq", 0, 1, 1, 0, 3), ("rerr", 0, 1, 0, 0, 3),
+              ("rreq", 0, 1, 3, 0, 3), ("rreq", 0, 1, 2, 0, 3)])
+@example(ops=[("rreq", 0, 1, 1, 0, 3), ("wait", _LIFETIME + 1),
+              ("rreq", 0, 1, 3, 0, 3), ("rreq", 0, 1, 2, 0, 3)])
+def test_receive_treats_every_rreq_copy_as_process_rreq_does(backend, ops):
+    with mock.patch.object(messages, "SEQ_MOD", 16), \
+            mock.patch.object(messages, "SEQ_HALF", 8):
+        fast_net, fast = _isolated_node(backend)
+        full_net, full = _isolated_node(backend)
+        for op in ops:
+            if op[0] == "wait":
+                for net in (fast_net, full_net):
+                    net.sim.run_until(net.sim.now + op[1])
+                continue
+            kind, orig, seq, hops, prev_hop, dest = op
+            msg_kind = {"rreq": MsgKind.RREQ, "rrep": MsgKind.RREP,
+                        "rerr": MsgKind.RERR}[kind]
+            msg = RouteMsg(msg_kind, originator=orig, destination=dest,
+                           seq=seq, hop_count=hops, unreachable=orig)
+            if kind == "rreq":
+                fast.receive(Frame(prev_hop, messages.BROADCAST, 24,
+                                   KIND_CONTROL, "rreq", msg), prev_hop)
+                full._process_rreq(msg, prev_hop)
+            else:
+                for node in (fast, full):
+                    node.handle_msg(msg, prev_hop)
+            assert _node_state(fast_net, fast) == _node_state(full_net, full)
+        for net in (fast_net, full_net):
+            net.sim.run_until(net.end_ticks)
+        assert _node_state(fast_net, fast) == _node_state(full_net, full)
+
+
+def test_a_duplicate_rreq_copy_stops_in_receive(monkeypatch):
+    net, node = _isolated_node("loadng")
+    calls = []
+    process = type(node)._process_rreq
+    monkeypatch.setattr(type(node), "_process_rreq",
+                        lambda self, m, prev: calls.append(m) or process(self, m, prev))
+    msg = RouteMsg(MsgKind.RREQ, originator=0, destination=7, seq=3,
+                   hop_count=2)
+    frame = Frame(0, messages.BROADCAST, 24, KIND_CONTROL, "rreq", msg)
+    node.receive(frame, 0)
+    node.receive(frame, 0)
+    assert calls == [msg]
+    assert node.routes[0] == RoutingTuple(0, 3, 3, _LIFETIME, HEARD)

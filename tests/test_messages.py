@@ -1,7 +1,7 @@
 """Wire sizes, overhead labels, and circular sequence-number arithmetic."""
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import given
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from llnsim.messages import (BROADCAST, MsgKind, RouteMsg, SEQ_HALF, SEQ_MOD,
                              encoded_size, next_seq, seq_newer)
 from llnsim.network import run_scenario
+from llnsim.node import NodeEngine
 from llnsim.scenario import BACKENDS, ScenarioConfig
 
 
@@ -97,3 +98,21 @@ def test_forwarding_copies_every_other_field():
                    hop_count=2, rrep_required=True, hello_neighbors=(1, 5),
                    rank=512, dao_parent=4, unreachable=8)
     assert msg.forwarded() == replace(msg, hop_count=3)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_no_handler_changes_a_message_after_it_is_sent(monkeypatch, backend):
+    # a broadcast hands one message object to every receiver, and a RouteMsg
+    # is not frozen, so every handler must leave it as it was sent
+    sent = []
+    send = NodeEngine.send_control
+
+    def snapshot(engine, msg, dst):
+        sent.append((msg, astuple(msg)))
+        send(engine, msg, dst)
+    monkeypatch.setattr(NodeEngine, "send_control", snapshot)
+    run_scenario(ScenarioConfig(backend=backend, node_count=20,
+                                duration=600.0, removals=((300.0, 7),)))
+    kinds = {msg.kind for msg, _ in sent}
+    assert len(kinds) >= 3
+    assert [msg for msg, before in sent if astuple(msg) != before] == []

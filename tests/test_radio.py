@@ -453,3 +453,44 @@ def medium_scripts(draw):
 @given(medium_scripts())
 def test_medium_agrees_with_the_stamp_model(script):
     assert _run_medium(Medium, *script) == _run_medium(StampMedium, *script)
+
+
+# -- the link table ------------------------------------------------------------
+
+
+def _all_pairs_links(medium: Medium) -> list:
+    """The link table measured from both ends of every pair, row by row in
+    address order: the oracle finalize must match entry for entry."""
+    addrs = sorted(medium.positions)
+    table = []
+    for a in addrs:
+        row = []
+        for b in addrs:
+            if b == a:
+                continue
+            dist = medium.positions[a].distance_to(medium.positions[b])
+            prob = reception_probability(dist, medium.radio)
+            if prob > 0.0:
+                row.append((b, (b, prob, medium.sim.node_stream(b),
+                                medium._receive_fns[b])))
+        table.append((a, row))
+    return table
+
+
+# multiples of 50 m put many pairs exactly at the 250 m range, as 150-200-250
+_coords = st.one_of(st.sampled_from([-250.0 + 50.0 * k for k in range(11)]),
+                    st.floats(-400.0, 400.0))
+
+
+@given(positions=st.dictionaries(st.integers(0, 40),
+                                 st.builds(Position, _coords, _coords),
+                                 min_size=1, max_size=12),
+       p_edge=st.sampled_from([1.0, 0.8, 1e-9]))
+@settings(max_examples=150)
+def test_link_table_matches_measuring_every_pair_both_ways(positions, p_edge):
+    medium = Medium(Simulator(3), RadioParams(p_edge=p_edge))
+    for addr, pos in positions.items():
+        medium.add_node(addr, pos, lambda frame, sender, a=addr: None)
+    medium.finalize()
+    built = [(a, list(row.items())) for a, row in medium._links.items()]
+    assert built == _all_pairs_links(medium)

@@ -174,18 +174,23 @@ def _eager_schedule(cfg, rng):
        config_ratio=st.floats(0.2, 5.0),
        periods_per_run=st.floats(0.01, 40.0),
        seed=st.integers(0, 2**16))
-@settings(max_examples=80)
+# about a third of the draws are runs under one tick, which are rejected
+@settings(max_examples=120)
 def test_generated_schedule_equals_the_sorted_schedule(
         node_count, period, config_ratio, periods_per_run, seed):
     cfg = ScenarioConfig(
         node_count=node_count, duration=period * periods_per_run, warmup=0.0,
         seed=seed, traffic=TrafficProfile(report_period=period,
                                           config_period=period * config_ratio))
+    if to_ticks(cfg.duration) == 0:
+        # a run shorter than one tick has no measurement window to report
+        with pytest.raises(ConfigError):
+            Network(cfg, chain_positions(node_count))
+        return
     net = Network(cfg, chain_positions(node_count))
     sends = []
     net.app_send = sends.append  # the run hands its sends over, nothing more
-    # the traffic part of run(), without the report: a run shorter than a
-    # tick still fires its sends, but run() aborts with no window to report
+    # the traffic part of run(), without the engines or the report
     net._start_traffic()
     net.sim.run_until(net.end_ticks)
     assert sends == _eager_schedule(cfg, random.Random(f"{seed}/traffic"))
@@ -251,6 +256,9 @@ def test_pending_events_stay_bounded_through_a_long_run():
     dict(radio=RadioParams(p_edge=1.5)),
     dict(ctp=CtpParams(rreq_max_jitter=1.0, hello_min_jitter=1.5)),
     dict(removals=((10.0, 0),)),  # the concentrator is never removed
+    # windows that round to no whole microsecond tick
+    dict(node_count=2, duration=60.0000004, warmup=60.0),
+    dict(duration=1e-7, warmup=0.0),
 ])
 def test_invalid_configurations_are_rejected(bad):
     with pytest.raises(ConfigError):

@@ -16,6 +16,9 @@ from .kernel import to_ticks
 from .messages import BROADCAST, MsgKind, RouteMsg, next_seq
 from .loadng import HEARD, SYM, LoadngNode
 
+# module globals: reading an Enum member off its class is slow
+_TRIGGER, _BUILD, _HELLO = MsgKind.TRIGGER, MsgKind.BUILD, MsgKind.HELLO
+
 
 class CtpNode(LoadngNode):
     # tree routes do not age out; rebuilds, not timeouts, refresh them
@@ -66,11 +69,11 @@ class CtpNode(LoadngNode):
 
     def handle_msg(self, msg: RouteMsg, prev_hop: int) -> None:
         kind = msg.kind
-        if kind is MsgKind.TRIGGER:
+        if kind is _TRIGGER:
             self._process_trigger(msg, prev_hop)
-        elif kind is MsgKind.BUILD:
+        elif kind is _BUILD:
             self._process_build(msg, prev_hop)
-        elif kind is MsgKind.HELLO:
+        elif kind is _HELLO:
             self._process_hello(msg, prev_hop)
         else:
             super().handle_msg(msg, prev_hop)
@@ -119,8 +122,7 @@ class CtpNode(LoadngNode):
             self.counters["build_from_asym"] += 1
             return
         metric = m.hop_count + 1
-        if not self._update_route(m.originator, prev_hop, metric, m.seq,
-                                  status=SYM):
+        if not self._update_route(m.originator, prev_hop, metric, m.seq):
             return  # equal or worse than the tree we already have
         self.build_done = True
         fwd = m.forwarded()

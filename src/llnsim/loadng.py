@@ -22,8 +22,8 @@ from .radio import Frame
 HEARD = "heard"  # we received something from the neighbor
 SYM = "sym"  # the neighbor confirmed it also hears us
 
-# a module global: reading an Enum member off its class is slow
-_RREQ = MsgKind.RREQ
+# module globals: reading an Enum member off its class is slow
+_RREQ, _RREP, _RERR = MsgKind.RREQ, MsgKind.RREP, MsgKind.RERR
 
 
 @dataclass(slots=True)
@@ -139,27 +139,19 @@ class LoadngNode(NodeEngine):
         for pkt in disc.packets:
             self.net.metrics.dropped(pkt, DISCOVERY_TIMEOUT)
 
-    def _update_route(self, dest: int, next_hop: int, metric: int, seq: int,
-                      status: str = SYM) -> bool:
-        """Install when the information is fresher, or same-age but shorter."""
+    def _update_route(self, dest: int, next_hop: int, metric: int,
+                      seq: int) -> bool:
+        """Install a confirmed route when fresher, or same-age but shorter."""
         if dest == self.addr:
             return False
         cur = self._route(dest)
-        if cur is not None:
-            if status == HEARD and cur.status == SYM:
-                # an overheard flood neither degrades a confirmed route nor
-                # extends its life; otherwise steady floods from a chatty
-                # destination would keep every route to it eternally fresh
-                return False
-            if not (seq_newer(seq, cur.seq)
-                    or (seq == cur.seq and metric < cur.metric)):
-                return False
+        if cur is not None and not (seq_newer(seq, cur.seq)
+                                    or (seq == cur.seq and metric < cur.metric)):
+            return False
         valid_until = (None if self.permanent_routes
                        else self.sim.now + self.lifetime_ticks)
-        self.routes[dest] = RoutingTuple(next_hop, metric, seq, valid_until,
-                                         status)
-        if status == SYM:
-            self._route_available(dest)
+        self.routes[dest] = RoutingTuple(next_hop, metric, seq, valid_until)
+        self._route_available(dest)
         return True
 
     def _route_available(self, dest: int) -> None:
@@ -172,49 +164,45 @@ class LoadngNode(NodeEngine):
     # -- control plane ------------------------------------------------------
 
     def receive(self, frame: Frame, prev_hop: int) -> None:
-        """A RREQ copy goes straight to _process_rreq, and is dropped here
-        when _process_rreq would change nothing: a duplicate no better than
-        the copy recorded, with no flood key due to expire, and a live route
-        to the originator that would refuse it.  Most flood copies are such
-        duplicates, so this test is the flood's common path."""
+        """A RREQ copy goes straight to _process_rreq: flood copies are most
+        of the frames a node hears."""
         m = frame.msg
-        if m is None or m.kind is not _RREQ:
+        if m is not None and m.kind is _RREQ:
+            self._process_rreq(m, prev_hop)
+        else:
             super().receive(frame, prev_hop)
-            return
-        metric = m.hop_count + 1
-        seq = m.seq
-        best = self.flood_seen.get((m.originator, seq))
-        if best is not None and best <= metric:
-            now = self.sim.now
-            expiry = self._key_expiry
-            cur = self.routes.get(m.originator)
-            # _update_route's refusal, with a same-seq copy tested first
-            if ((not expiry or expiry[0][0] > now)
-                    and cur is not None
-                    and (cur.valid_until is None or cur.valid_until >= now)
-                    and (cur.status == SYM
-                         or (metric >= cur.metric if seq == cur.seq
-                             else not seq_newer(seq, cur.seq)))):
-                return
-        self._process_rreq(m, prev_hop)
 
     def handle_msg(self, msg: RouteMsg, prev_hop: int) -> None:
         kind = msg.kind
-        if kind is MsgKind.RREQ:
+        if kind is _RREQ:
             self._process_rreq(msg, prev_hop)
-        elif kind is MsgKind.RREP:
+        elif kind is _RREP:
             self._process_rrep(msg, prev_hop)
-        elif kind is MsgKind.RERR:
+        elif kind is _RERR:
             self._process_rerr(msg, prev_hop)
         else:  # the RREP_ACK that ends one hop of a reply
             self.counters["rrep_ack_in"] += 1
 
     def _process_rreq(self, m: RouteMsg, prev_hop: int) -> None:
-        if m.originator == self.addr:
+        orig = m.originator
+        if orig == self.addr:
             return  # own flood echoed back
         metric = m.hop_count + 1
-        self._update_route(m.originator, prev_hop, metric, m.seq, status=HEARD)
-        if not self._first_or_better((m.originator, m.seq), metric):
+        seq = m.seq
+        # every copy may install a HEARD route to the originator: into an
+        # empty slot, or over a HEARD route when fresher, or same-age but
+        # shorter.  An overheard flood neither degrades a confirmed route nor
+        # extends its life; otherwise steady floods from a chatty
+        # destination would keep every route to it eternally fresh
+        cur = self._route(orig)
+        if cur is None or (cur.status != SYM
+                           and (metric < cur.metric if seq == cur.seq
+                                else seq_newer(seq, cur.seq))):
+            valid_until = (None if self.permanent_routes
+                           else self.sim.now + self.lifetime_ticks)
+            self.routes[orig] = RoutingTuple(prev_hop, metric, seq,
+                                             valid_until, HEARD)
+        if not self._first_or_better((orig, seq), metric):
             return  # duplicate with no better path
         if m.destination == self.addr:
             self._generate_rrep(m)

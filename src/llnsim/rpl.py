@@ -19,6 +19,9 @@ from .metrics import NO_ROUTE, UP
 from .node import NodeEngine
 from .radio import Frame
 
+# module globals: reading an Enum member off its class is slow
+_DIO, _DIS = MsgKind.DIO, MsgKind.DIS
+
 ROOT_RANK = 1
 
 # consecutive unicast failures toward the parent tolerated before eviction;
@@ -97,9 +100,9 @@ class RplNode(NodeEngine):
 
     def handle_msg(self, msg: RouteMsg, prev_hop: int) -> None:
         kind = msg.kind
-        if kind is MsgKind.DIO:
+        if kind is _DIO:
             self._process_dio(msg, prev_hop)
-        elif kind is MsgKind.DIS:
+        elif kind is _DIS:
             self._process_dis(msg, prev_hop)
         else:  # a DAO on its way to the root
             self._process_dao(msg, prev_hop)

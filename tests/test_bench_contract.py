@@ -197,3 +197,28 @@ def test_tracer_scheduler_keeps_the_kernel_order_over_events_due_now():
     sim.run_until(100)
     assert fired == sorted(scheduled) and len(fired) == 55
     assert t.counts["zero_delay"] == zero_delay == 41
+
+
+def test_rreq_counting_wrapper_sees_every_copy_a_node_receives():
+    """``loadng.rreq_dup_ratio`` is the share of RREQ copies that the
+    tracer's wrapper of ``LoadngNode._process_rreq`` finds already recorded
+    in ``flood_seen``, so every copy a node receives must pass through it,
+    duplicates included."""
+    import types
+
+    from llnsim.messages import BROADCAST, MsgKind, RouteMsg
+    from llnsim.radio import Frame, KIND_CONTROL
+
+    t = tracer.Tracer()  # not installed: the wrapper is applied by hand
+    make = {path: make for _, path, make in t._counters()}[
+        "LoadngNode._process_rreq"]
+    net = Network(ScenarioConfig(backend="loadng", node_count=2,
+                                 duration=60.0, warmup=0.0))
+    node = net.nodes[1]
+    node._process_rreq = types.MethodType(make(type(node)._process_rreq), node)
+    msg = RouteMsg(MsgKind.RREQ, originator=0, destination=7, seq=3,
+                   hop_count=2)
+    frame = Frame(0, BROADCAST, 24, KIND_CONTROL, "rreq", msg)
+    for _ in range(2):
+        node.receive(frame, 0)
+    assert (t.counts["rreq_in"], t.counts["rreq_dup"]) == (2, 1)

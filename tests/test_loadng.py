@@ -1,6 +1,7 @@
 """Reactive discovery: floods, replies, expiry, breaks, and rediscovery."""
 from __future__ import annotations
 
+import copy
 from unittest import mock
 
 import pytest
@@ -262,25 +263,26 @@ def test_flood_hearsay_neither_degrades_nor_refreshes_a_confirmed_route():
     seen = []
 
     def confirmed():
-        node._update_route(0, 1, 2, seq=2, status=SYM)
+        node._update_route(0, 1, 2, seq=2)
         seen.append(node.routes.get(0).valid_until)
 
     def hearsay():
-        node._update_route(0, 1, 2, seq=4, status=HEARD)
+        # a copy of 0's flood, relayed by 1, for a node outside the network
+        msg = RouteMsg(MsgKind.RREQ, originator=0, destination=9, seq=4,
+                       hop_count=1)
+        node.receive(Frame(1, messages.BROADCAST, 24, KIND_CONTROL, "rreq",
+                           msg), 1)
         tup = node.routes.get(0)
         seen.append((tup.status, tup.seq, tup.valid_until))
 
-    def after_expiry():
-        node._update_route(0, 1, 2, seq=4, status=HEARD)
-        seen.append(node.routes.get(0).status)
-
     net.sim.schedule_at(to_ticks(1.0), confirmed)
     net.sim.schedule_at(to_ticks(5.0), hearsay)
-    net.sim.schedule_at(to_ticks(30.0), after_expiry)
+    net.sim.schedule_at(to_ticks(30.0), hearsay)
     net.run()
     until = seen[0]
     assert seen[1] == (SYM, 2, until)  # untouched despite the newer seq
-    assert seen[2] == HEARD  # expiry reopens the slot
+    # expiry reopens the slot
+    assert seen[2] == (HEARD, 4, to_ticks(30.0) + node.lifetime_ticks)
 
 
 def test_idle_reactive_network_transmits_nothing():
@@ -326,7 +328,7 @@ def test_no_forwarding_loops_at_quiescence():
                     at = tup.next_hop
 
 
-# -- the one-call duplicate test in LoadngNode.receive ---------------------
+# -- the overheard-route rule of LoadngNode._process_rreq -------------------
 
 _LIFETIME = to_ticks(15.0)  # LoadngParams defaults: route lifetime 15 s,
 _HOLD = to_ticks(20.0)  # flood keys held twice the 10 s traversal time
@@ -334,17 +336,24 @@ _HOLD = to_ticks(20.0)  # flood keys held twice the 10 s traversal time
 # few keys, so copies repeat: seqs on both sides of the 16-value wrap
 _seqs = st.sampled_from([0, 1, 8, 15])
 _peers = st.sampled_from([0, 2])
+# (op, originator, seq, hop count, prev hop, destination).  The collection
+# tree's floods reach only a loadng-ctp node; there a destination of 1 lists
+# node 1 in a HELLO (a symmetric link) and asks a BUILD for tree RREPs
+_CTP_OPS = ("trigger", "hello", "build")
 _ops = st.one_of(
-    # (op, originator, seq, hop count, prev hop, destination)
     st.tuples(st.just("rreq"), st.sampled_from([0, 1, 2]), _seqs,
               st.integers(0, 3), _peers, st.sampled_from([1, 3])),
-    st.tuples(st.just("rrep"), _peers, _seqs, st.integers(0, 3), _peers,
+    st.tuples(st.sampled_from(["trigger", "build"]),
+              st.sampled_from([0, 1, 2]), _seqs, st.integers(0, 3), _peers,
               st.sampled_from([1, 3])),
-    st.tuples(st.just("rerr"), _peers, _seqs, st.integers(0, 3), _peers,
-              st.sampled_from([1, 3])),
+    st.tuples(st.sampled_from(["rrep", "rerr", "hello"]), _peers, _seqs,
+              st.integers(0, 3), _peers, st.sampled_from([1, 3])),
     st.tuples(st.just("wait"), st.sampled_from(
         [0, 1, to_ticks(1.0), to_ticks(5.0), _LIFETIME - 1, _LIFETIME,
          _LIFETIME + 1, _HOLD, _HOLD + 1])))
+_KINDS = {"rreq": MsgKind.RREQ, "rrep": MsgKind.RREP, "rerr": MsgKind.RERR,
+          "trigger": MsgKind.TRIGGER, "hello": MsgKind.HELLO,
+          "build": MsgKind.BUILD}
 
 
 def _isolated_node(backend: str):
@@ -363,6 +372,35 @@ def _node_state(net, node) -> tuple:
             list(net.metrics.control_log))
 
 
+def _reference_rreq(node, m: RouteMsg, prev_hop: int) -> None:
+    """A RREQ copy as LoadNG handled it when the overheard route went
+    through the shared route installer: a live route to the originator
+    refuses the copy when it is confirmed, and otherwise unless the copy
+    is fresher, or same-age but shorter; then the flood-key rule decides
+    whether the copy is answered or forwarded."""
+    if m.originator == node.addr:
+        return
+    metric = m.hop_count + 1
+    cur = node._route(m.originator)
+    refused = cur is not None and (
+        cur.status == SYM
+        or not (messages.seq_newer(m.seq, cur.seq)
+                or (m.seq == cur.seq and metric < cur.metric)))
+    if not refused:
+        valid_until = (None if node.permanent_routes
+                       else node.sim.now + node.lifetime_ticks)
+        node.routes[m.originator] = RoutingTuple(prev_hop, metric, m.seq,
+                                                 valid_until, HEARD)
+    if not node._first_or_better((m.originator, m.seq), metric):
+        return
+    if m.destination == node.addr:
+        node._generate_rrep(m)
+        return
+    fwd = m.forwarded()
+    node.after_jitter(node.params.rreq_jitter_max,
+                      lambda: node.send_control(fwd, messages.BROADCAST))
+
+
 @pytest.mark.parametrize("backend", ["loadng", "loadng-ctp"])
 @given(ops=st.lists(_ops, min_size=5, max_size=60))
 @settings(max_examples=200)
@@ -372,44 +410,57 @@ def _node_state(net, node) -> tuple:
               ("rreq", 0, 1, 3, 0, 3), ("rreq", 0, 1, 2, 0, 3)])
 @example(ops=[("rreq", 0, 1, 1, 0, 3), ("wait", _LIFETIME + 1),
               ("rreq", 0, 1, 3, 0, 3), ("rreq", 0, 1, 2, 0, 3)])
-def test_receive_treats_every_rreq_copy_as_process_rreq_does(backend, ops):
+# a route is live through the tick its lifetime ends on, so a worse copy
+# arriving then is refused
+@example(ops=[("rreq", 0, 1, 1, 0, 3), ("wait", _LIFETIME),
+              ("rreq", 0, 1, 3, 2, 3)])
+# a tree route from a BUILD is permanent and confirmed: a fresher flood
+# copy over the same link must leave it alone
+@example(ops=[("hello", 0, 0, 0, 0, 1), ("trigger", 0, 1, 0, 0, 3),
+              ("rreq", 0, 8, 2, 0, 3), ("build", 0, 1, 0, 0, 1),
+              ("rreq", 0, 15, 0, 0, 3), ("wait", _LIFETIME + 1),
+              ("rreq", 0, 0, 0, 2, 1)])
+def test_receive_treats_every_rreq_copy_as_the_reference_does(backend, ops):
     with mock.patch.object(messages, "SEQ_MOD", 16), \
             mock.patch.object(messages, "SEQ_HALF", 8):
         fast_net, fast = _isolated_node(backend)
-        full_net, full = _isolated_node(backend)
+        ref_net, ref = _isolated_node(backend)
         for op in ops:
             if op[0] == "wait":
-                for net in (fast_net, full_net):
+                for net in (fast_net, ref_net):
                     net.sim.run_until(net.sim.now + op[1])
                 continue
             kind, orig, seq, hops, prev_hop, dest = op
-            msg_kind = {"rreq": MsgKind.RREQ, "rrep": MsgKind.RREP,
-                        "rerr": MsgKind.RERR}[kind]
-            msg = RouteMsg(msg_kind, originator=orig, destination=dest,
-                           seq=seq, hop_count=hops, unreachable=orig)
+            if kind in _CTP_OPS and backend == "loadng":
+                continue
+            msg = RouteMsg(_KINDS[kind], originator=orig, destination=dest,
+                           seq=seq, hop_count=hops,
+                           rrep_required=kind == "build" and dest == 1,
+                           hello_neighbors=(dest,) if kind == "hello" else (),
+                           unreachable=orig)
+            frame = Frame(prev_hop, messages.BROADCAST, 24, KIND_CONTROL,
+                          kind, msg)
+            fast.receive(frame, prev_hop)
             if kind == "rreq":
-                fast.receive(Frame(prev_hop, messages.BROADCAST, 24,
-                                   KIND_CONTROL, "rreq", msg), prev_hop)
-                full._process_rreq(msg, prev_hop)
+                _reference_rreq(ref, msg, prev_hop)
             else:
-                for node in (fast, full):
-                    node.handle_msg(msg, prev_hop)
-            assert _node_state(fast_net, fast) == _node_state(full_net, full)
-        for net in (fast_net, full_net):
+                ref.receive(frame, prev_hop)
+            assert _node_state(fast_net, fast) == _node_state(ref_net, ref)
+        for net in (fast_net, ref_net):
             net.sim.run_until(net.end_ticks)
-        assert _node_state(fast_net, fast) == _node_state(full_net, full)
+        assert _node_state(fast_net, fast) == _node_state(ref_net, ref)
 
 
-def test_a_duplicate_rreq_copy_stops_in_receive(monkeypatch):
+def test_a_second_identical_rreq_copy_changes_nothing():
     net, node = _isolated_node("loadng")
-    calls = []
-    process = type(node)._process_rreq
-    monkeypatch.setattr(type(node), "_process_rreq",
-                        lambda self, m, prev: calls.append(m) or process(self, m, prev))
     msg = RouteMsg(MsgKind.RREQ, originator=0, destination=7, seq=3,
                    hop_count=2)
     frame = Frame(0, messages.BROADCAST, 24, KIND_CONTROL, "rreq", msg)
     node.receive(frame, 0)
-    node.receive(frame, 0)
-    assert calls == [msg]
     assert node.routes[0] == RoutingTuple(0, 3, 3, _LIFETIME, HEARD)
+    first = copy.deepcopy(_node_state(net, node))
+    node.receive(frame, 0)
+    assert _node_state(net, node) == first
+    net.sim.run_until(net.end_ticks)
+    # one forward of the first copy, none of the second
+    assert [row[1] for row in net.metrics.control_log] == ["rreq"]

@@ -8,7 +8,7 @@ directly comparable delivery, delay, and overhead figures.
 
 from .kernel import SimulationError, Simulator, TICKS_PER_SECOND, to_seconds, to_ticks
 from .metrics import MetricsReport, aggregate
-from .network import Network, RunResult, run_scenario
+from .network import Network
 from .scenario import ConfigError, ScenarioConfig, load_scenario
 from .experiment import expand_sweep, run_sweep, summarize, write_csv
 
@@ -18,7 +18,6 @@ __all__ = [
     "ConfigError",
     "MetricsReport",
     "Network",
-    "RunResult",
     "ScenarioConfig",
     "SimulationError",
     "Simulator",
@@ -26,7 +25,6 @@ __all__ = [
     "aggregate",
     "expand_sweep",
     "load_scenario",
-    "run_scenario",
     "run_sweep",
     "summarize",
     "to_seconds",

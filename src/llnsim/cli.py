@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -35,19 +36,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def check_writable(path: str) -> None:
+    """Refuse a CSV path that write_csv could not open; touches no file."""
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: it is a directory")
+    if not os.access(os.path.dirname(path) or ".", os.W_OK):
+        raise ConfigError(f"cannot write {path}: "
+                          "its directory is missing or read-only")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
-    def progress(done, total, result):
+    def progress(done, total, net):
         if args.quiet:
             return
-        r = result.report
+        r = net.report
         pdr_up = "-" if r.pdr_up is None else f"{r.pdr_up:.4f}"
         print(f"[{done}/{total}] backend={r.backend} nodes={r.node_count} "
               f"seed={r.seed} pdr_up={pdr_up} overhead={r.overhead_bps:.1f} B/s",
               file=sys.stderr)
 
     try:
+        if args.out:
+            # a campaign can run for hours: find a bad path before it starts
+            check_writable(args.out)
         if args.scenario:
             cfg, sweep = load_scenario(args.scenario)
         else:
@@ -60,7 +73,7 @@ def main(argv=None) -> int:
         if args.seeds is not None:
             sweep["seeds"] = str(args.seeds)
         # a run can still reject its configuration, e.g. an unplaceable layout
-        results = run_sweep(expand_sweep(cfg, sweep), progress)
+        nets = run_sweep(expand_sweep(cfg, sweep), progress)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
@@ -68,7 +81,7 @@ def main(argv=None) -> int:
         print(f"run aborted: {exc}", file=sys.stderr)
         return EXIT_RUN_FAILED
 
-    reports = [result.report for result in results]
+    reports = [net.report for net in nets]
     if args.out:
         write_csv(args.out, reports)
     print(format_summary(summarize(reports)))

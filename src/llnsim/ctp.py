@@ -15,6 +15,7 @@ from __future__ import annotations
 from .kernel import to_ticks
 from .messages import BROADCAST, MsgKind, RouteMsg, next_seq
 from .loadng import HEARD, SYM, LoadngNode
+from .scenario import CONCENTRATOR
 
 # module globals: reading an Enum member off its class is slow
 _TRIGGER, _BUILD, _HELLO = MsgKind.TRIGGER, MsgKind.BUILD, MsgKind.HELLO
@@ -27,14 +28,12 @@ class CtpNode(LoadngNode):
     # reactive discovery instead of shedding every packet crossing it
     transit_discovery = True
 
-    def __init__(self, net, addr: int, root_addr: int) -> None:
+    def __init__(self, net, addr: int) -> None:
         super().__init__(net, addr)
         self.ctp = net.cfg.ctp
-        self.root_addr = root_addr
-        self.is_root = addr == root_addr
+        self.is_root = addr == CONCENTRATOR
         self.neighbor_status: dict[int, str] = {}
         self.trigger_received = self.is_root
-        self.build_done = self.is_root
         # tree floods may take the tree's own traversal time to settle
         self.hold_ticks = 2 * max(self.ntt_ticks,
                                   to_ticks(self.ctp.net_traversal_time))
@@ -124,7 +123,6 @@ class CtpNode(LoadngNode):
         metric = m.hop_count + 1
         if not self._update_route(m.originator, prev_hop, metric, m.seq):
             return  # equal or worse than the tree we already have
-        self.build_done = True
         fwd = m.forwarded()
         self.after_jitter(self.ctp.rreq_max_jitter,
                           lambda: self.send_control(fwd, BROADCAST))
@@ -133,11 +131,11 @@ class CtpNode(LoadngNode):
 
     def _send_tree_rrep(self) -> None:
         """One RREP to the root per build, installing downward routes per hop."""
-        if self.mac.dead or not self.build_done:
+        if self.mac.dead:
             return
         self.seq = next_seq(self.seq)
         msg = RouteMsg(MsgKind.RREP, originator=self.addr,
-                       destination=self.root_addr, seq=self.seq)
+                       destination=CONCENTRATOR, seq=self.seq)
         self.counters["tree_rrep"] += 1
         self._unicast_toward(msg)
 

@@ -6,7 +6,7 @@ import itertools
 from dataclasses import replace
 
 from .metrics import AGGREGATE_METRICS, CSV_COLUMNS, MetricsReport, aggregate, report_row
-from .network import RunResult, run_scenario
+from .network import Network
 from .scenario import ConfigError, ScenarioConfig
 
 # the only axes a [sweep] section may vary; everything else is fixed per file
@@ -48,16 +48,16 @@ def expand_sweep(base: ScenarioConfig, sweep: dict) -> list[ScenarioConfig]:
     return configs
 
 
-def run_sweep(configs: list[ScenarioConfig], progress=None) -> list[RunResult]:
-    """Execute every configuration in order; progress(i, total, result) per run."""
-    results = []
+def run_sweep(configs: list[ScenarioConfig], progress=None) -> list[Network]:
+    """Execute every configuration in order; progress(i, total, net) per run."""
+    nets = []
     total = len(configs)
     for i, cfg in enumerate(configs):
-        result = run_scenario(cfg)
-        results.append(result)
+        net = Network(cfg).run()
+        nets.append(net)
         if progress is not None:
-            progress(i + 1, total, result)
-    return results
+            progress(i + 1, total, net)
+    return nets
 
 
 def write_csv(path: str, reports: list[MetricsReport]) -> None:

@@ -7,8 +7,6 @@ to the byte.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ctp import CtpNode
 from .kernel import SimulationError, Simulator, to_seconds, to_ticks
 from .loadng import LoadngNode
@@ -17,19 +15,10 @@ from .metrics import (DOWN, UP, BUFFER_OVERFLOW, DISCOVERY_TIMEOUT, IN_FLIGHT,
                       overhead_rate)
 from .radio import Medium
 from .rpl import RplNode
-from .scenario import (CONCENTRATOR, AppSend, ScenarioConfig,
-                       build_traffic_schedule, generate_topology)
+from .scenario import (CONCENTRATOR, ScenarioConfig, build_traffic_schedule,
+                       generate_topology)
 
-
-@dataclass(frozen=True)
-class RunResult:
-    """Everything one run produced; report is the CSV-facing summary."""
-
-    cfg: ScenarioConfig
-    report: MetricsReport
-    metrics: MetricsCollector
-    nodes: dict
-    positions: dict
+ENGINES = {"loadng": LoadngNode, "loadng-ctp": CtpNode, "rpl": RplNode}
 
 
 class Network:
@@ -54,25 +43,18 @@ class Network:
                              on_control_tx=self.metrics.control_log.append)
         self.nodes: dict[int, object] = {}
         for addr in sorted(self.positions):
-            engine = self._make_engine(addr)
+            engine = ENGINES[cfg.backend](self, addr)
             self.nodes[addr] = engine
             self.medium.add_node(addr, self.positions[addr], engine.receive)
         self.medium.finalize()
         self.schedule = build_traffic_schedule(cfg, self.sim.stream("traffic"))
+        self.report: MetricsReport | None = None  # set when the run ends
         self._ran = False
-
-    def _make_engine(self, addr: int):
-        backend = self.cfg.backend
-        if backend == "loadng":
-            return LoadngNode(self, addr)
-        if backend == "loadng-ctp":
-            return CtpNode(self, addr, CONCENTRATOR)
-        return RplNode(self, addr, CONCENTRATOR)
 
     # -- execution -----------------------------------------------------------
 
-    def run(self) -> RunResult:
-        """Execute the run; a network runs once, since its clock has moved on."""
+    def run(self) -> Network:
+        """Run once, since the clock moves on; set self.report, return self."""
         if self._ran:
             raise SimulationError("network already ran")
         self._ran = True
@@ -89,8 +71,8 @@ class Network:
         for addr, engine in self.nodes.items():
             if not engine.mac.conserved():
                 raise SimulationError(f"MAC conservation violated at node {addr}")
-        return RunResult(self.cfg, self._report(), self.metrics, self.nodes,
-                         self.positions)
+        self.report = self._report()
+        return self
 
     def _start_traffic(self) -> None:
         # one insertion number per stream, each stream with one pending send
@@ -102,22 +84,25 @@ class Network:
         streams = self.schedule.streams
         first = self.sim.reserve(len(streams))
         for rank, stream in enumerate(streams):
-            self._send_next(stream.sends(self.schedule.duration), first + rank)
+            self._send_next(stream, stream.times(self.schedule.duration),
+                            first + rank)
 
-    def _send_next(self, sends, order: int) -> None:
-        send = next(sends, None)
-        if send is not None:
+    def _send_next(self, stream, times, order: int) -> None:
+        t = next(times, None)
+        if t is not None:
             def fire() -> None:
-                self._send_next(sends, order)
-                self.app_send(send)
-            self.sim.schedule_reserved(send.at, order, fire)
+                self._send_next(stream, times, order)
+                self.app_send(stream.src, stream.dst, stream.payload_bytes,
+                              stream.direction, stream.kind)
+            self.sim.schedule_reserved(to_ticks(t), order, fire)
 
     # -- application layer -----------------------------------------------------
 
-    def app_send(self, send: AppSend) -> None:
-        pkt = self.metrics.new_packet(send.src, send.dst, send.payload_bytes,
-                                      send.direction, send.kind, self.sim.now)
-        engine = self.nodes[send.src]
+    def app_send(self, src: int, dst: int, payload_bytes: int, direction: str,
+                 kind: str) -> None:
+        pkt = self.metrics.new_packet(src, dst, payload_bytes, direction, kind,
+                                      self.sim.now)
+        engine = self.nodes[src]
         if engine.mac.dead:
             self.metrics.dropped(pkt, NO_ROUTE)
             return
@@ -177,8 +162,3 @@ class Network:
             buffer_overflow=fates[BUFFER_OVERFLOW],
             in_flight=fates[IN_FLIGHT],
         )
-
-
-def run_scenario(cfg: ScenarioConfig) -> RunResult:
-    """Build and execute one run."""
-    return Network(cfg).run()

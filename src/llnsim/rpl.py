@@ -18,6 +18,7 @@ from .messages import BROADCAST, MsgKind, RouteMsg
 from .metrics import NO_ROUTE, UP
 from .node import NodeEngine
 from .radio import Frame
+from .scenario import CONCENTRATOR
 
 # module globals: reading an Enum member off its class is slow
 _DIO, _DIS = MsgKind.DIO, MsgKind.DIS
@@ -30,11 +31,10 @@ PARENT_STRIKE_LIMIT = 2
 
 
 class RplNode(NodeEngine):
-    def __init__(self, net, addr: int, root_addr: int) -> None:
+    def __init__(self, net, addr: int) -> None:
         super().__init__(net, addr)
         self.rpl = net.cfg.rpl
-        self.root_addr = root_addr
-        self.is_root = addr == root_addr
+        self.is_root = addr == CONCENTRATOR
         self.rank: int | None = ROOT_RANK if self.is_root else None
         self.preferred: int | None = None
         self.parent_set: dict[int, int] = {}  # neighbor -> advertised rank
@@ -77,7 +77,7 @@ class RplNode(NodeEngine):
         if epoch != self._epoch or self.rank is None:
             return
         if self.heard < self.rpl.dio_redundancy_constant:
-            msg = RouteMsg(MsgKind.DIO, originator=self.root_addr,
+            msg = RouteMsg(MsgKind.DIO, originator=CONCENTRATOR,
                            destination=BROADCAST, rank=self.rank)
             self.send_control(msg, BROADCAST)
 
@@ -170,7 +170,7 @@ class RplNode(NodeEngine):
             return
         if self.rank is not None and self.preferred is not None:
             msg = RouteMsg(MsgKind.DAO, originator=self.addr,
-                           destination=self.root_addr,
+                           destination=CONCENTRATOR,
                            dao_parent=self.preferred)
             self.send_control(msg, self.preferred)
         self.sim.schedule_in(to_ticks(self.rpl.dao_interval), self._emit_dao)

@@ -13,7 +13,6 @@ import random
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
-from typing import NamedTuple
 
 from .kernel import Checked, ConfigError, bounded, draw_uniform, to_ticks
 from .metrics import DOWN, UP, config_digest
@@ -189,17 +188,6 @@ def _grow_reached(positions: dict[int, Position], radio: RadioParams,
     return stranded
 
 
-class AppSend(NamedTuple):
-    """One scheduled application transmission."""
-
-    at: int  # ticks
-    src: int
-    dst: int
-    payload_bytes: int
-    direction: str
-    kind: str
-
-
 @dataclass(frozen=True, slots=True)
 class TrafficStream:
     """One client's periodic sends: the first at `first` seconds, then every `period`."""
@@ -219,11 +207,6 @@ class TrafficStream:
         while t < duration:
             yield t
             t += self.period
-
-    def sends(self, duration: float) -> Iterator[AppSend]:
-        for t in self.times(duration):
-            yield AppSend(to_ticks(t), self.src, self.dst, self.payload_bytes,
-                          self.direction, self.kind)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,7 @@ from llnsim.kernel import to_ticks
 from llnsim.metrics import ControlRow
 from llnsim.network import Network
 from llnsim.radio import Position, RadioParams, reception_probability
-from llnsim.scenario import (AppSend, CtpParams, LoadngParams, RplParams,
-                             ScenarioConfig)
+from llnsim.scenario import CtpParams, LoadngParams, RplParams, ScenarioConfig
 
 # tier-1 stays a pure function of the code: every property test draws the
 # same examples on every run
@@ -49,9 +48,8 @@ def quiet_cfg(**overrides) -> ScenarioConfig:
 
 def inject(net: Network, at_s: float, src: int, dst: int,
            payload: int, direction: str, kind: str = "report") -> None:
-    at = to_ticks(at_s)
-    send = AppSend(at, src, dst, payload, direction, kind)
-    net.sim.schedule_at(at, lambda: net.app_send(send))
+    net.sim.schedule_at(to_ticks(at_s), lambda: net.app_send(
+        src, dst, payload, direction, kind))
 
 
 def bfs_hops(positions: dict[int, Position], radio: RadioParams,

@@ -15,7 +15,7 @@ from llnsim.experiment import expand_sweep, write_csv
 from llnsim.kernel import to_ticks
 from llnsim.loadng import SYM
 from llnsim.metrics import DELIVERED, DOWN, report_row
-from llnsim.network import Network, run_scenario
+from llnsim.network import Network
 from llnsim.radio import Position
 from llnsim.scenario import ConfigError, ScenarioConfig, load_scenario
 
@@ -53,7 +53,7 @@ def _collect(configs):
     """Run configs sequentially, keeping only the summary reports."""
     reports = []
     for cfg in configs:
-        result = run_scenario(cfg)
+        result = Network(cfg).run()
         result.metrics.assert_conserved()
         reports.append(result.report)
         del result
@@ -298,7 +298,7 @@ def test_criterion_10_traffic_free_signatures():
     quiet = {}
     for backend in BACKENDS:
         cfg = ScenarioConfig(backend=backend, **base)
-        quiet[backend] = run_scenario(cfg)
+        quiet[backend] = Network(cfg).run()
     loadng_silent = (quiet["loadng"].report.overhead_bps == 0.0
                      and len(quiet["loadng"].metrics.control_log) == 0)
     rpl_active = quiet["rpl"].report.overhead_bps > 0.0

@@ -149,6 +149,26 @@ def test_cli_reports_bad_configuration_on_exit_code_two(tmp_path, capsys, text):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("where", ["no-such-directory", "a-directory"])
+def test_cli_rejects_an_unwritable_out_path_before_any_run(
+        tmp_path, capsys, monkeypatch, where):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the sweep started before --out was checked")
+    monkeypatch.setattr(cli, "run_sweep", no_run)
+    out = tmp_path / "missing" / "x.csv" if where == "no-such-directory" else tmp_path
+    rc = cli.main(["--seeds", "2", "--duration", "300", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_BAD_CONFIG
+    assert f"configuration error: cannot write {out}" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []  # the check created nothing
+    # nor does it truncate a file it accepts: write_csv alone writes
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old rows\n")
+    cli.check_writable(str(kept))
+    assert kept.read_text() == "old rows\n"
+
+
 def test_cli_overrides_trim_the_sweep(tmp_path, capsys):
     ini = tmp_path / "over.ini"
     ini.write_text(

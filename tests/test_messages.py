@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from llnsim.messages import (BROADCAST, MsgKind, RouteMsg, SEQ_HALF, SEQ_MOD,
                              encoded_size, next_seq, seq_newer)
-from llnsim.network import run_scenario
+from llnsim.network import Network
 from llnsim.node import NodeEngine
 from llnsim.scenario import BACKENDS, ScenarioConfig
 
@@ -34,7 +34,7 @@ def test_fixed_message_sizes():
 def test_every_control_frame_is_labelled_by_its_message_kind(backend):
     cfg = ScenarioConfig(backend=backend, node_count=12, duration=600.0,
                          warmup=60.0, removals=((300.0, 5),))
-    labels = {row[1] for row in run_scenario(cfg).metrics.control_log}
+    labels = {row[1] for row in Network(cfg).run().metrics.control_log}
     assert labels and labels <= {kind.value for kind in MsgKind}
     if backend == "loadng-ctp":
         assert {"rreq_trigger", "rreq_build"} <= labels
@@ -111,8 +111,8 @@ def test_no_handler_changes_a_message_after_it_is_sent(monkeypatch, backend):
         sent.append((msg, astuple(msg)))
         send(engine, msg, dst)
     monkeypatch.setattr(NodeEngine, "send_control", snapshot)
-    run_scenario(ScenarioConfig(backend=backend, node_count=20,
-                                duration=600.0, removals=((300.0, 7),)))
+    Network(ScenarioConfig(backend=backend, node_count=20, duration=600.0,
+                           removals=((300.0, 7),))).run()
     kinds = {msg.kind for msg, _ in sent}
     assert len(kinds) >= 3
     assert [msg for msg, before in sent if astuple(msg) != before] == []

@@ -16,7 +16,7 @@ from llnsim.metrics import (AGGREGATE_METRICS, BUFFER_OVERFLOW, CSV_COLUMNS,
                             MetricsCollector, MetricsReport, aggregate,
                             avg_delay, config_digest, overhead_rate, pdr,
                             report_row)
-from llnsim.network import Network, run_scenario
+from llnsim.network import Network
 from llnsim.radio import Position
 from llnsim.scenario import ScenarioConfig
 
@@ -310,9 +310,9 @@ def test_packet_log_holds_a_settled_row_in_at_most_48_bytes():
 
 @pytest.mark.parametrize("backend", ["loadng", "loadng-ctp", "rpl"])
 def test_one_pass_report_equals_the_per_record_reduction(backend):
-    result = run_scenario(ScenarioConfig(backend=backend, node_count=20,
-                                         duration=600.0,
-                                         removals=((300.0, 5),)))
+    result = Network(ScenarioConfig(backend=backend, node_count=20,
+                                    duration=600.0,
+                                    removals=((300.0, 5),))).run()
     records, report = result.metrics.records, result.report
     w = result.metrics.warmup_ticks
     post = [p for p in records if p.created_at >= w]

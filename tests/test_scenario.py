@@ -1,6 +1,7 @@
 """Topology generation, traffic schedules, config validation, INI loading."""
 from __future__ import annotations
 
+import csv
 import gc
 import math
 import random
@@ -13,12 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from llnsim import cli
+from llnsim.experiment import write_csv
 from llnsim.kernel import SimulationError, draw_uniform, to_ticks
-from llnsim.metrics import DELIVERED, DOWN, UP
+from llnsim.metrics import DELIVERED, DOWN, UP, report_row
 from llnsim.network import Network
 from llnsim.radio import MacParams, Position, RadioParams
-from llnsim.scenario import (AppSend, ConfigError, CtpParams, LoadngParams,
-                             RplParams, ScenarioConfig, TrafficProfile,
+from llnsim.scenario import (ConfigError, CtpParams, LoadngParams, RplParams,
+                             ScenarioConfig, TrafficProfile,
                              build_traffic_schedule, generate_topology,
                              load_scenario)
 
@@ -136,12 +138,12 @@ def test_eight_hour_run_schedules_480_reports_and_96_configs_per_client():
     config, report = schedule.streams
     assert (report.kind, report.src, report.dst) == ("report", 1, 0)
     assert (config.kind, config.src, config.dst) == ("config", 0, 1)
-    reports = list(report.sends(cfg.duration))
-    configs = list(config.sends(cfg.duration))
+    reports = list(report.times(cfg.duration))
+    configs = list(config.times(cfg.duration))
     assert len(reports) == 480
     assert len(configs) == 96
     assert len(schedule) == 480 + 96
-    assert all(s.at < to_ticks(28800.0) for s in reports + configs)
+    assert all(to_ticks(t) < to_ticks(28800.0) for t in reports + configs)
 
 
 def test_disabled_traffic_schedules_nothing():
@@ -152,7 +154,9 @@ def test_disabled_traffic_schedules_nothing():
 
 
 def _eager_schedule(cfg, rng):
-    """The schedule built whole: every send in stream order, then a stable sort."""
+    """The schedule built whole: every send in stream order, then a stable sort.
+
+    A send is (tick, src, dst, payload, direction, kind)."""
     sends = []
     traffic = cfg.traffic
     for period, payload, direction, kind in (
@@ -162,9 +166,9 @@ def _eager_schedule(cfg, rng):
             src, dst = (client, 0) if direction == UP else (0, client)
             t = draw_uniform(rng, 0.0, period)
             while t < cfg.duration:
-                sends.append(AppSend(to_ticks(t), src, dst, payload, direction, kind))
+                sends.append((to_ticks(t), src, dst, payload, direction, kind))
                 t += period
-    sends.sort(key=lambda s: (s.at, s.src, s.dst))
+    sends.sort(key=lambda s: s[:3])
     return sends
 
 
@@ -189,7 +193,8 @@ def test_generated_schedule_equals_the_sorted_schedule(
         return
     net = Network(cfg, chain_positions(node_count))
     sends = []
-    net.app_send = sends.append  # the run hands its sends over, nothing more
+    # the run hands its sends over, nothing more
+    net.app_send = lambda *send: sends.append((net.sim.now, *send))
     # the traffic part of run(), without the engines or the report
     net._start_traffic()
     net.sim.run_until(net.end_ticks)
@@ -201,7 +206,7 @@ def test_a_run_holds_one_pending_send_per_stream():
     cfg = ScenarioConfig(node_count=4, duration=3600.0)
     net = Network(cfg, chain_positions(4))
     pending = []
-    net.app_send = lambda send: pending.append(net.sim.pending())
+    net.app_send = lambda *send: pending.append(net.sim.pending())
     net.run()
     # the loadng engines schedule nothing unprompted, so only sends are queued
     assert len(pending) == len(net.schedule)
@@ -365,10 +370,16 @@ def test_cfg_id_groups_seeds_and_splits_configs():
 
 
 @pytest.mark.parametrize("traffic", [True, False])
-def test_a_network_runs_only_once(traffic):
+def test_a_network_runs_only_once(traffic, tmp_path):
     net = Network(ScenarioConfig(backend="rpl", node_count=10, duration=300.0,
                                  traffic_enabled=traffic))
-    net.run()
+    # a finished run is its network, with the report set
+    assert net.run() is net
+    path = tmp_path / "run.csv"
+    write_csv(str(path), [net.report])
+    with open(path, newline="") as fh:
+        written = list(csv.reader(fh))[1]
+    assert report_row(net.report) == written
     state = (net.sim.now, net.sim.pending(), len(net.metrics.records),
              len(net.metrics.control_log))
     # a second call would restart every timer from a clock already at the end

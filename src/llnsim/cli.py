@@ -43,6 +43,8 @@ def check_writable(path: str) -> None:
     if not os.access(os.path.dirname(path) or ".", os.W_OK):
         raise ConfigError(f"cannot write {path}: "
                           "its directory is missing or read-only")
+    if os.path.exists(path) and not os.access(path, os.W_OK):
+        raise ConfigError(f"cannot write {path}: the file is read-only")
 
 
 def main(argv=None) -> int:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import statistics
+import zlib
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
@@ -19,6 +20,8 @@ NO_ROUTE = "no-route"
 DISCOVERY_TIMEOUT = "discovery-timeout"
 BUFFER_OVERFLOW = "buffer-overflow"
 IN_FLIGHT = "in-flight-at-end"
+
+CHUNK_ROWS = 4096  # rows per sealed chunk of a log
 
 
 @dataclass(slots=True)
@@ -40,6 +43,26 @@ class PacketRecord:
 ControlRow = tuple[int, str, int, int]  # (tick, label, node, on-air bytes)
 
 
+def _seal(columns, n: int) -> tuple[bytes, ...]:
+    """Compress the first n rows of each column into one chunk; drop them."""
+    chunk = tuple(zlib.compress(col[:n], 1) for col in columns)
+    for col in columns:
+        del col[:n]
+    return chunk
+
+
+def _unseal(chunk, columns, picks) -> list[array]:
+    return [array(columns[i].typecode, zlib.decompress(chunk[i]))
+            for i in picks]
+
+
+def _chunks(sealed, columns, picks) -> Iterator[list[array]]:
+    """The picked columns chunk by chunk in row order: sealed, then raw."""
+    for chunk in sealed:
+        yield _unseal(chunk, columns, picks)
+    yield [columns[i] for i in picks]
+
+
 def _name_id(name: str, ids: dict[str, int], names: list[str]) -> int:
     """The small id of name, the next free one when name is new."""
     nid = ids.get(name)
@@ -52,20 +75,24 @@ def _name_id(name: str, ids: dict[str, int], names: list[str]) -> int:
 class ControlLog:
     """One row per control frame put on air, held in typed columns.
 
-    A row takes 17 bytes of column storage; the (tick, label, node, bytes)
-    tuple of a row exists only while someone iterates.  Labels are stored as
-    small ids into the list of distinct labels.  A value out of its
-    column's range (a 257th label, a node or size past 2**31) raises
+    A row takes 17 bytes of column storage until each CHUNK_ROWS rows are
+    sealed into one zlib chunk, about 4 bytes a row; the (tick, label, node,
+    bytes) tuple of a row exists only while someone iterates.  Labels are
+    stored as small ids into the list of distinct labels.  A value out of
+    its column's range (a 257th label, a node or size past 2**31) raises
     OverflowError, which aborts the run, rather than wrapping.
     """
 
-    __slots__ = ("_ticks", "_label_ids", "_nodes", "_sizes", "_labels", "_ids")
+    __slots__ = ("_ticks", "_label_ids", "_nodes", "_sizes", "_columns",
+                 "_sealed", "_labels", "_ids")
 
     def __init__(self) -> None:
         self._ticks = array("q")
         self._label_ids = array("B")
         self._nodes = array("i")
         self._sizes = array("i")
+        self._columns = (self._ticks, self._label_ids, self._nodes, self._sizes)
+        self._sealed: list[tuple[bytes, ...]] = []
         self._labels: list[str] = []  # label id -> label
         self._ids: dict[str, int] = {}
 
@@ -77,13 +104,17 @@ class ControlLog:
         self._label_ids.append(lid)
         self._nodes.append(node)
         self._sizes.append(on_air_bytes)
+        if len(self._ticks) >= CHUNK_ROWS:
+            self._sealed.append(_seal(self._columns, CHUNK_ROWS))
 
     def __len__(self) -> int:
-        return len(self._ticks)
+        return len(self._sealed) * CHUNK_ROWS + len(self._ticks)
 
     def __iter__(self) -> Iterator[ControlRow]:
-        return zip(self._ticks, map(self._labels.__getitem__, self._label_ids),
-                   self._nodes, self._sizes)
+        label = self._labels.__getitem__
+        for ticks, label_ids, nodes, sizes in _chunks(self._sealed,
+                                                      self._columns, range(4)):
+            yield from zip(ticks, map(label, label_ids), nodes, sizes)
 
 
 # id 0: the packet has no fate yet
@@ -98,15 +129,18 @@ class PacketLog(Sequence):
 
     A packet's PacketRecord lives in ``live`` until settle gives it a fate;
     then its row is written and the object released, so a settled packet
-    takes about 35 bytes of column storage.  Reading the log returns the
-    live object for an unresolved packet and a fresh PacketRecord for a
-    settled one; a slice is a list.  Direction and kind are stored as small
-    ids into the list of distinct names, the fate as one of six ids.  A
-    value out of its column's range raises OverflowError, as in ControlLog.
+    takes about 35 bytes of column storage until the oldest CHUNK_ROWS rows
+    are all settled and sealed into one zlib chunk, about 9 bytes a row.
+    Reading the log returns the live object for an unresolved packet and a
+    fresh PacketRecord for a settled one; a slice is a list, and the last
+    chunk read stays inflated.  Direction and kind are stored as small ids
+    into the list of distinct names, the fate as one of six ids.  A value
+    out of its column's range raises OverflowError, as in ControlLog.
     """
 
     __slots__ = ("live", "_src", "_dst", "_payload", "_direction", "_kind",
-                 "_created", "_delivered", "_fate", "_hops", "_names", "_ids")
+                 "_created", "_delivered", "_fate", "_hops", "_columns",
+                 "_sealed", "_cached", "_names", "_ids")
 
     def __init__(self) -> None:
         self.live: dict[int, PacketRecord] = {}
@@ -119,13 +153,19 @@ class PacketLog(Sequence):
         self._delivered = array("q")  # -1 until delivered
         self._fate = array("B")
         self._hops = array("i")
+        self._columns = (self._src, self._dst, self._payload, self._direction,
+                         self._kind, self._created, self._delivered,
+                         self._fate, self._hops)  # PacketRecord's order
+        self._sealed: list[tuple[bytes, ...]] = []
+        self._cached: tuple[int, list[array]] = (-1, [])  # chunk index, columns
         self._names: list[str] = []  # name id -> direction or kind
         self._ids: dict[str, int] = {}
 
     def open(self, src: int, dst: int, payload_bytes: int, direction: str,
              kind: str, now: int) -> PacketRecord:
-        """Add an unresolved packet; its pid is its row."""
-        pid = len(self._created)
+        """Add an unresolved packet; its pid is its row plus the sealed rows."""
+        base = len(self._sealed) * CHUNK_ROWS
+        pid = base + len(self._created)
         self._src.append(src)
         self._dst.append(dst)
         self._payload.append(payload_bytes)
@@ -137,6 +177,11 @@ class PacketLog(Sequence):
         self._created.append(now)
         pkt = self.live[pid] = PacketRecord(pid, src, dst, payload_bytes,
                                             direction, kind, now)
+        # live is filled in pid order, so its first key is the oldest unsettled
+        while (pid - base >= CHUNK_ROWS
+               and next(iter(self.live)) - base >= CHUNK_ROWS):
+            self._sealed.append(_seal(self._columns, CHUNK_ROWS))
+            base += CHUNK_ROWS
         return pkt
 
     def settle(self, pkt: PacketRecord, fate: str,
@@ -148,10 +193,11 @@ class PacketLog(Sequence):
         if fid is None:
             raise SimulationError(f"packet {pkt.pid} given unknown fate {fate!r}")
         pid = pkt.pid
-        self._hops[pid] = pkt.hops
+        row = pid - len(self._sealed) * CHUNK_ROWS  # an unsettled row is raw
+        self._hops[row] = pkt.hops
         if delivered_at is not None:
-            self._delivered[pid] = delivered_at
-        self._fate[pid] = fid
+            self._delivered[row] = delivered_at
+        self._fate[row] = fid
         del self.live[pid]
         pkt.fate = fate
         pkt.delivered_at = delivered_at
@@ -160,26 +206,34 @@ class PacketLog(Sequence):
         pkt = self.live.get(pid)
         if pkt is not None:
             return pkt
-        delivered = self._delivered[pid]
-        return PacketRecord(pid, self._src[pid], self._dst[pid],
-                            self._payload[pid],
-                            self._names[self._direction[pid]],
-                            self._names[self._kind[pid]], self._created[pid],
+        row = pid - len(self._sealed) * CHUNK_ROWS
+        if row >= 0:
+            columns = self._columns
+        else:
+            k, row = divmod(pid, CHUNK_ROWS)
+            if self._cached[0] != k:
+                self._cached = (k, _unseal(self._sealed[k], self._columns,
+                                           range(len(self._columns))))
+            columns = self._cached[1]
+        (src, dst, payload, direction, kind, created, delivered, fid,
+         hops) = [column[row] for column in columns]
+        return PacketRecord(pid, src, dst, payload, self._names[direction],
+                            self._names[kind], created,
                             None if delivered < 0 else delivered,
-                            _FATE_BY_ID[self._fate[pid]], self._hops[pid])
+                            _FATE_BY_ID[fid], hops)
 
     def __len__(self) -> int:
-        return len(self._created)
+        return len(self._sealed) * CHUNK_ROWS + len(self._created)
 
     def __getitem__(self, index: int | slice
                     ) -> PacketRecord | list[PacketRecord]:
-        pids = range(len(self._created))[index]
+        pids = range(len(self))[index]
         if isinstance(index, slice):
             return [self._record(pid) for pid in pids]
         return self._record(pids)
 
     def __iter__(self) -> Iterator[PacketRecord]:
-        return map(self._record, range(len(self._created)))
+        return map(self._record, range(len(self)))
 
     def tally(self, warmup_ticks: int
               ) -> tuple[dict[str, tuple[int, int, int]], dict[str | None, int]]:
@@ -191,18 +245,21 @@ class PacketLog(Sequence):
         """
         sums = [[0, 0, 0] for _ in self._names]
         fates = [0] * len(_FATE_BY_ID)
-        for nid, created, delivered, fid in zip(self._direction, self._created,
-                                                self._delivered, self._fate):
-            if created < warmup_ticks:
-                continue
-            row = sums[nid]
-            row[0] += 1
-            fates[fid] += 1
-            if fid == _DELIVERED_ID:
-                row[1] += 1
-                row[2] += delivered - created
-        per_direction = {self._names[nid]: tuple(sums[nid])
-                         for nid in set(self._direction)}
+        seen = set()
+        for directions, created_at, delivered_at, fate_ids in _chunks(
+                self._sealed, self._columns, (3, 5, 6, 7)):
+            seen.update(directions)
+            for nid, created, delivered, fid in zip(directions, created_at,
+                                                    delivered_at, fate_ids):
+                if created < warmup_ticks:
+                    continue
+                row = sums[nid]
+                row[0] += 1
+                fates[fid] += 1
+                if fid == _DELIVERED_ID:
+                    row[1] += 1
+                    row[2] += delivered - created
+        per_direction = {self._names[nid]: tuple(sums[nid]) for nid in seen}
         return per_direction, dict(zip(_FATE_BY_ID, fates))
 
 

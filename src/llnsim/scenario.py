@@ -15,6 +15,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
 
 from .kernel import Checked, ConfigError, bounded, draw_uniform, to_ticks
+from .messages import BROADCAST
 from .metrics import DOWN, UP, config_digest
 from .radio import MacParams, Position, RadioParams, reception_probability
 
@@ -81,7 +82,7 @@ class TrafficProfile(Checked):
 @dataclass(frozen=True)
 class ScenarioConfig(Checked):
     backend: str = "loadng"
-    node_count: int = bounded(20, 2)
+    node_count: int = bounded(20, 2, hi=BROADCAST)
     topology: str = "random-grid"
     grid_side: float = bounded(1000.0, 0, strict=True)
     concentrator_distance: float = 250.0  # used by distance-line layouts

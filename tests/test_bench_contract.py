@@ -11,7 +11,8 @@ harvest are run on tiny finished networks, so a renamed piece of program
 state that they read (routes, counters, flood keys, MAC counters, record
 fields) fails here rather than in a benchmark run.  The traced campaign
 checks every run that ``run_sweep`` returns, so a sweep's items must stay
-whole runs.
+whole runs.  The checks and the tracer read the packet and control logs
+row by row, so they are run on logs sealed into several chunks too.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from llnsim import metrics
 from llnsim.experiment import expand_sweep, run_sweep, write_csv
 from llnsim.network import Network
 from llnsim.scenario import ScenarioConfig
@@ -222,3 +224,40 @@ def test_rreq_counting_wrapper_sees_every_copy_a_node_receives():
     for _ in range(2):
         node.receive(frame, 0)
     assert (t.counts["rreq_in"], t.counts["rreq_dup"]) == (2, 1)
+
+
+def _run_in_chunks_of(monkeypatch, chunk_rows: int) -> Network:
+    monkeypatch.setattr(metrics, "CHUNK_ROWS", chunk_rows)
+    return Network(ScenarioConfig(backend="loadng", node_count=6,
+                                  duration=300.0)).run()
+
+
+def test_the_output_checks_read_sealed_logs_as_unsealed_ones(tmp_path,
+                                                            monkeypatch):
+    plain = _run_in_chunks_of(monkeypatch, 10**9)
+    net = _run_in_chunks_of(monkeypatch, 16)
+    records, control_log = net.metrics.records, net.metrics.control_log
+    assert len(records._sealed) >= 2 and len(control_log._sealed) >= 2
+    assert not plain.metrics.records._sealed
+    path = tmp_path / "sealed.csv"
+    write_csv(str(path), [net.report])
+    with open(path, newline="") as fh:
+        row, = csv.DictReader(fh)
+    assert checks.check_run(net, row) == []
+    assert list(control_log) == list(plain.metrics.control_log)
+    # the record reads of bench/selftest.py
+    same = plain.metrics.records
+    assert list(records) == list(same)
+    for i in (0, 15, 16, 17, len(same) // 2, len(same) - 1):
+        assert records[i] == same[i]
+        assert records[:i] + records[i + 1:] == same[:i] + same[i + 1:]
+
+
+def test_the_logs_of_a_two_hour_run_hold_at_most_half_their_raw_size():
+    """The two logs grow with run length; sealed chunks keep them to under
+    half the 17 B per control row and 35 B per packet row of raw columns,
+    as ``metrics.retained_mb`` measures them."""
+    m = Network(ScenarioConfig(backend="rpl", node_count=60,
+                               duration=7200.0)).run().metrics
+    raw = 17 * len(m.control_log) + 35 * len(m.records)
+    assert tracer.deep_size((m.records, m.control_log)) <= raw / 2

@@ -149,19 +149,32 @@ def test_cli_reports_bad_configuration_on_exit_code_two(tmp_path, capsys, text):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("where", ["no-such-directory", "a-directory"])
+@pytest.mark.parametrize("where", ["no-such-directory", "a-directory",
+                                   "a-read-only-file"])
 def test_cli_rejects_an_unwritable_out_path_before_any_run(
         tmp_path, capsys, monkeypatch, where):
     def no_run(*args, **kwargs):
         raise AssertionError("the sweep started before --out was checked")
     monkeypatch.setattr(cli, "run_sweep", no_run)
     out = tmp_path / "missing" / "x.csv" if where == "no-such-directory" else tmp_path
+    left = []
+    if where == "a-read-only-file":
+        out = tmp_path / "old.csv"
+        out.write_text("old rows\n")
+        left = [out]
+        # mode bits do not stop root, so the file's write permission is denied
+        # where the check asks for it
+        access = cli.os.access
+        monkeypatch.setattr(cli.os, "access", lambda path, mode:
+                            path != str(out) and access(path, mode))
     rc = cli.main(["--seeds", "2", "--duration", "300", "--out", str(out)])
     captured = capsys.readouterr()
     assert rc == cli.EXIT_BAD_CONFIG
     assert f"configuration error: cannot write {out}" in captured.err
     assert captured.out == ""
-    assert list(tmp_path.iterdir()) == []  # the check created nothing
+    assert list(tmp_path.iterdir()) == left  # the check created nothing
+    for kept in left:
+        assert kept.read_text() == "old rows\n"
     # nor does it truncate a file it accepts: write_csv alone writes
     kept = tmp_path / "kept.csv"
     kept.write_text("old rows\n")

@@ -9,6 +9,7 @@ from dataclasses import astuple, replace
 
 import pytest
 
+from llnsim import metrics
 from llnsim.kernel import SimulationError, to_seconds, to_ticks
 from llnsim.metrics import (AGGREGATE_METRICS, BUFFER_OVERFLOW, CSV_COLUMNS,
                             DELIVERED, DISCOVERY_TIMEOUT, DOWN, IN_FLIGHT,
@@ -160,6 +161,106 @@ def test_control_log_holds_a_row_in_at_most_24_bytes():
         tracemalloc.stop()
     assert len(log) == n
     assert grown / n <= 24
+
+
+K = 4  # CHUNK_ROWS in the sealing tests, so short logs cross chunk boundaries
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(metrics, "CHUNK_ROWS", K)
+
+
+@pytest.mark.parametrize("n", [0, 1, K - 1, K, K + 1, 3 * K + 5])
+def test_control_log_reads_back_rows_across_sealed_chunks(small_chunks, n):
+    rows = [(to_ticks(28_000.0) + 7 * i, ("dio", "dao", "dis")[i % 3], i % 60,
+             20 + i) for i in range(n)]
+    log = _control_log(rows)
+    assert len(log._sealed) == n // K  # every Kth append seals
+    assert len(log) == n
+    assert list(log) == rows
+    assert list(log) == rows
+
+
+def _open(c, i):
+    """Packet i of a sealing test, opened with fields that vary per pid."""
+    pkt = c.new_packet(i % 7, 59 - i % 7, 100 + i, UP if i % 2 else DOWN,
+                       "ack" if i % 3 else "report", to_ticks(28_000.0) + 5 * i)
+    pkt.hops = i % 4
+    return pkt
+
+
+def _settle(c, pkt):
+    if pkt.pid % 5:
+        c.delivered(pkt, pkt.created_at + 16896 + pkt.pid)
+    else:
+        c.dropped(pkt, (MAC_DROP, NO_ROUTE)[pkt.pid % 2])
+
+
+def _tally(records, w):
+    """PacketLog.tally recomputed from PacketRecords."""
+    sums = {p.direction: [0, 0, 0] for p in records}
+    fates = dict.fromkeys((None, DELIVERED, MAC_DROP, NO_ROUTE,
+                           DISCOVERY_TIMEOUT, BUFFER_OVERFLOW, IN_FLIGHT), 0)
+    for p in records:
+        if p.created_at < w:
+            continue
+        row = sums[p.direction]
+        row[0] += 1
+        fates[p.fate] += 1
+        if p.fate == DELIVERED:
+            row[1] += 1
+            row[2] += p.delivered_at - p.created_at
+    return {d: tuple(row) for d, row in sums.items()}, fates
+
+
+def _same_as(log, oracle):
+    """Every read of the log agrees with a plain list of the same packets."""
+    rows = [astuple(p) for p in oracle]
+    n = len(oracle)
+    assert len(log) == n
+    assert [astuple(p) for p in log] == rows
+    assert [astuple(log[i]) for i in range(-n, n)] == rows + rows
+    for part in (slice(None), slice(1, -1), slice(None, None, -3),
+                 slice(K - 1, 3 * K + 2, 2), slice(n + 1, None)):
+        assert [astuple(p) for p in log[part]] == rows[part]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            log[i]
+    for w in (0, oracle[n // 2].created_at if oracle else 0):
+        assert log.tally(w) == _tally(oracle, w)
+
+
+@pytest.mark.parametrize("n", [0, 1, K - 1, K, K + 1, 3 * K + 5])
+def test_packet_log_reads_back_rows_across_sealed_chunks(small_chunks, n):
+    c = MetricsCollector(0)
+    oracle = []
+    for i in range(n):
+        oracle.append(_open(c, i))
+        _settle(c, oracle[-1])
+    # the open of pid K finds pids 0..K-1 settled and seals them
+    assert len(c.records._sealed) == max(n - 1, 0) // K
+    _same_as(c.records, oracle)
+
+
+def test_a_live_packet_holds_back_sealing_until_it_settles(small_chunks):
+    c = MetricsCollector(0)
+    oracle = []
+    for i in range(4 * K):
+        oracle.append(_open(c, i))
+        if i != K + 1:
+            _settle(c, oracle[-1])
+    held = oracle[K + 1]
+    # the chunk of rows K..2K-1 holds a live packet, so it and every later
+    # chunk stay raw, and settle still writes into the raw rows
+    assert len(c.records._sealed) == 1 and list(c.records.live) == [K + 1]
+    _same_as(c.records, oracle)
+    assert c.records[K + 1] is held
+    c.delivered(held, held.created_at + 1)
+    oracle.append(_open(c, 4 * K))
+    _settle(c, oracle[-1])
+    assert len(c.records._sealed) == 4 and not c.records.live
+    _same_as(c.records, oracle)
 
 
 def test_collector_rejects_double_resolution():

@@ -270,6 +270,13 @@ def test_invalid_configurations_are_rejected(bad):
         ScenarioConfig(**bad).validate()
 
 
+def test_node_count_stops_below_the_broadcast_address():
+    # a node numbered 0xFFFF would receive every broadcast frame as its own
+    with pytest.raises(ConfigError, match="node_count"):
+        ScenarioConfig(node_count=0x10000).validate()
+    ScenarioConfig(node_count=0xFFFF).validate()
+
+
 def test_jitter_rule_boundary_is_strict():
     with pytest.raises(ConfigError):
         # equality is still too tight: a maximally late re-broadcast would tie

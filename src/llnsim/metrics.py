@@ -43,24 +43,43 @@ class PacketRecord:
 ControlRow = tuple[int, str, int, int]  # (tick, label, node, on-air bytes)
 
 
-def _seal(columns, n: int) -> tuple[bytes, ...]:
-    """Compress the first n rows of each column into one chunk; drop them."""
-    chunk = tuple(zlib.compress(col[:n], 1) for col in columns)
-    for col in columns:
-        del col[:n]
-    return chunk
+class _Table:
+    """Rows in typed array columns; each chunk_rows of them (CHUNK_ROWS when
+    the table was made) seal into one chunk, a zlib stream per column.  The
+    owner appends to each column itself and seals once they are that long.
+    """
 
+    __slots__ = ("columns", "chunk_rows", "_sealed")
 
-def _unseal(chunk, columns, picks) -> list[array]:
-    return [array(columns[i].typecode, zlib.decompress(chunk[i]))
-            for i in picks]
+    def __init__(self, typecodes: str) -> None:
+        self.columns = tuple(array(code) for code in typecodes)
+        self.chunk_rows = CHUNK_ROWS
+        self._sealed: list[tuple[bytes, ...]] = []
 
+    def seal(self) -> None:
+        """Compress the first chunk_rows rows into one chunk; drop them."""
+        n = self.chunk_rows
+        self._sealed.append(tuple(zlib.compress(col[:n], 1)
+                                  for col in self.columns))
+        for col in self.columns:
+            del col[:n]
 
-def _chunks(sealed, columns, picks) -> Iterator[list[array]]:
-    """The picked columns chunk by chunk in row order: sealed, then raw."""
-    for chunk in sealed:
-        yield _unseal(chunk, columns, picks)
-    yield [columns[i] for i in picks]
+    def __len__(self) -> int:
+        return len(self._sealed) * self.chunk_rows + len(self.columns[0])
+
+    def chunk(self, k: int) -> Sequence[array]:
+        """The columns of chunk k, inflated; past the sealed ones, the raw."""
+        if k == len(self._sealed):
+            return self.columns
+        return [array(col.typecode, zlib.decompress(data))
+                for col, data in zip(self.columns, self._sealed[k])]
+
+    def chunks(self) -> Iterator[Sequence[array]]:
+        return map(self.chunk, range(len(self._sealed) + 1))
+
+    def __iter__(self) -> Iterator[tuple]:
+        for columns in self.chunks():
+            yield from zip(*columns)
 
 
 def _name_id(name: str, ids: dict[str, int], names: list[str]) -> int:
@@ -73,7 +92,7 @@ def _name_id(name: str, ids: dict[str, int], names: list[str]) -> int:
 
 
 class ControlLog:
-    """One row per control frame put on air, held in typed columns.
+    """One row per control frame put on air, held in a sealed table.
 
     A row takes 17 bytes of column storage until each CHUNK_ROWS rows are
     sealed into one zlib chunk, about 4 bytes a row; the (tick, label, node,
@@ -83,16 +102,13 @@ class ControlLog:
     OverflowError, which aborts the run, rather than wrapping.
     """
 
-    __slots__ = ("_ticks", "_label_ids", "_nodes", "_sizes", "_columns",
-                 "_sealed", "_labels", "_ids")
+    __slots__ = ("_table", "_ticks", "_label_ids", "_nodes", "_sizes",
+                 "_labels", "_ids")
 
     def __init__(self) -> None:
-        self._ticks = array("q")
-        self._label_ids = array("B")
-        self._nodes = array("i")
-        self._sizes = array("i")
-        self._columns = (self._ticks, self._label_ids, self._nodes, self._sizes)
-        self._sealed: list[tuple[bytes, ...]] = []
+        self._table = _Table("qBii")
+        self._ticks, self._label_ids, self._nodes, self._sizes = (
+            self._table.columns)
         self._labels: list[str] = []  # label id -> label
         self._ids: dict[str, int] = {}
 
@@ -104,150 +120,124 @@ class ControlLog:
         self._label_ids.append(lid)
         self._nodes.append(node)
         self._sizes.append(on_air_bytes)
-        if len(self._ticks) >= CHUNK_ROWS:
-            self._sealed.append(_seal(self._columns, CHUNK_ROWS))
+        if len(self._ticks) >= self._table.chunk_rows:
+            self._table.seal()
 
     def __len__(self) -> int:
-        return len(self._sealed) * CHUNK_ROWS + len(self._ticks)
+        return len(self._table)
 
     def __iter__(self) -> Iterator[ControlRow]:
         label = self._labels.__getitem__
-        for ticks, label_ids, nodes, sizes in _chunks(self._sealed,
-                                                      self._columns, range(4)):
+        for ticks, label_ids, nodes, sizes in self._table.chunks():
             yield from zip(ticks, map(label, label_ids), nodes, sizes)
 
 
-# id 0: the packet has no fate yet
-_FATE_BY_ID = (None, DELIVERED, MAC_DROP, NO_ROUTE, DISCOVERY_TIMEOUT,
+_FATE_BY_ID = (DELIVERED, MAC_DROP, NO_ROUTE, DISCOVERY_TIMEOUT,
                BUFFER_OVERFLOW, IN_FLIGHT)
-_FATE_IDS = {fate: fid for fid, fate in enumerate(_FATE_BY_ID) if fate}
+_FATE_IDS = {fate: fid for fid, fate in enumerate(_FATE_BY_ID)}
 _DELIVERED_ID = _FATE_IDS[DELIVERED]
 
 
 class PacketLog(Sequence):
-    """Every application packet of a run, indexed by pid, in typed columns.
+    """Every application packet of a run: settled rows in a sealed table,
+    unresolved packets as live objects.
 
-    A packet's PacketRecord lives in ``live`` until settle gives it a fate;
-    then its row is written and the object released, so a settled packet
-    takes about 35 bytes of column storage until the oldest CHUNK_ROWS rows
-    are all settled and sealed into one zlib chunk, about 9 bytes a row.
-    Reading the log returns the live object for an unresolved packet and a
-    fresh PacketRecord for a settled one; a slice is a list, and the last
-    chunk read stays inflated.  Direction and kind are stored as small ids
-    into the list of distinct names, the fate as one of six ids.  A value
-    out of its column's range raises OverflowError, as in ControlLog.
+    open files a packet's PacketRecord in ``live`` under the next pid.
+    settle gives it its one fate, appends its whole row (the pid, then the
+    record's other fields in order) and releases the object.  A row takes
+    43 bytes of column storage until each CHUNK_ROWS rows are sealed into
+    one zlib chunk, about 10 bytes a row, so a packet held to the end of the
+    run holds back no sealing.  Reading the log yields the settled packets
+    in the order they settled, as fresh PacketRecords, then the unresolved
+    ones, the live objects, in pid order; a slice is a list.  Direction and
+    kind are stored as small ids into the list of distinct names, the fate
+    as one of six ids.  A value out of its column's range raises
+    OverflowError at settle, as in ControlLog.
     """
 
-    __slots__ = ("live", "_src", "_dst", "_payload", "_direction", "_kind",
-                 "_created", "_delivered", "_fate", "_hops", "_columns",
-                 "_sealed", "_cached", "_names", "_ids")
+    __slots__ = ("live", "_table", "_pid", "_src", "_dst", "_payload",
+                 "_direction", "_kind", "_created", "_delivered", "_fate",
+                 "_hops", "_names", "_ids")
 
     def __init__(self) -> None:
         self.live: dict[int, PacketRecord] = {}
-        self._src = array("i")
-        self._dst = array("i")
-        self._payload = array("i")
-        self._direction = array("B")
-        self._kind = array("B")
-        self._created = array("q")
-        self._delivered = array("q")  # -1 until delivered
-        self._fate = array("B")
-        self._hops = array("i")
-        self._columns = (self._src, self._dst, self._payload, self._direction,
-                         self._kind, self._created, self._delivered,
-                         self._fate, self._hops)  # PacketRecord's order
-        self._sealed: list[tuple[bytes, ...]] = []
-        self._cached: tuple[int, list[array]] = (-1, [])  # chunk index, columns
+        self._table = _Table("qiiiBBqqBi")
+        (self._pid, self._src, self._dst, self._payload, self._direction,
+         self._kind, self._created, self._delivered, self._fate,
+         self._hops) = self._table.columns  # PacketRecord's order
         self._names: list[str] = []  # name id -> direction or kind
         self._ids: dict[str, int] = {}
 
     def open(self, src: int, dst: int, payload_bytes: int, direction: str,
              kind: str, now: int) -> PacketRecord:
-        """Add an unresolved packet; its pid is its row plus the sealed rows."""
-        base = len(self._sealed) * CHUNK_ROWS
-        pid = base + len(self._created)
-        self._src.append(src)
-        self._dst.append(dst)
-        self._payload.append(payload_bytes)
-        self._direction.append(_name_id(direction, self._ids, self._names))
-        self._kind.append(_name_id(kind, self._ids, self._names))
-        self._delivered.append(-1)
-        self._fate.append(0)
-        self._hops.append(0)
-        self._created.append(now)
+        """File an unresolved packet in live under the next pid."""
+        pid = len(self._table) + len(self.live)
         pkt = self.live[pid] = PacketRecord(pid, src, dst, payload_bytes,
                                             direction, kind, now)
-        # live is filled in pid order, so its first key is the oldest unsettled
-        while (pid - base >= CHUNK_ROWS
-               and next(iter(self.live)) - base >= CHUNK_ROWS):
-            self._sealed.append(_seal(self._columns, CHUNK_ROWS))
-            base += CHUNK_ROWS
         return pkt
 
     def settle(self, pkt: PacketRecord, fate: str,
                delivered_at: int | None = None) -> None:
-        """Give an unresolved packet its one fate and release its object."""
+        """Give an unresolved packet its one fate; write its row, drop it."""
         if pkt.fate is not None:
             raise SimulationError(f"packet {pkt.pid} resolved twice")
         fid = _FATE_IDS.get(fate)
         if fid is None:
             raise SimulationError(f"packet {pkt.pid} given unknown fate {fate!r}")
-        pid = pkt.pid
-        row = pid - len(self._sealed) * CHUNK_ROWS  # an unsettled row is raw
-        self._hops[row] = pkt.hops
-        if delivered_at is not None:
-            self._delivered[row] = delivered_at
-        self._fate[row] = fid
-        del self.live[pid]
+        self._pid.append(pkt.pid)
+        self._src.append(pkt.src)
+        self._dst.append(pkt.dst)
+        self._payload.append(pkt.payload_bytes)
+        self._direction.append(_name_id(pkt.direction, self._ids, self._names))
+        self._kind.append(_name_id(pkt.kind, self._ids, self._names))
+        self._created.append(pkt.created_at)
+        self._delivered.append(-1 if delivered_at is None else delivered_at)
+        self._fate.append(fid)
+        self._hops.append(pkt.hops)
+        del self.live[pkt.pid]
         pkt.fate = fate
         pkt.delivered_at = delivered_at
+        if len(self._pid) >= self._table.chunk_rows:
+            self._table.seal()
 
-    def _record(self, pid: int) -> PacketRecord:
-        pkt = self.live.get(pid)
-        if pkt is not None:
-            return pkt
-        row = pid - len(self._sealed) * CHUNK_ROWS
-        if row >= 0:
-            columns = self._columns
-        else:
-            k, row = divmod(pid, CHUNK_ROWS)
-            if self._cached[0] != k:
-                self._cached = (k, _unseal(self._sealed[k], self._columns,
-                                           range(len(self._columns))))
-            columns = self._cached[1]
-        (src, dst, payload, direction, kind, created, delivered, fid,
-         hops) = [column[row] for column in columns]
+    def _revive(self, row: tuple) -> PacketRecord:
+        (pid, src, dst, payload, direction, kind, created, delivered, fid,
+         hops) = row
         return PacketRecord(pid, src, dst, payload, self._names[direction],
                             self._names[kind], created,
                             None if delivered < 0 else delivered,
                             _FATE_BY_ID[fid], hops)
 
     def __len__(self) -> int:
-        return len(self._sealed) * CHUNK_ROWS + len(self._created)
+        return len(self._table) + len(self.live)
 
     def __getitem__(self, index: int | slice
                     ) -> PacketRecord | list[PacketRecord]:
-        pids = range(len(self))[index]
         if isinstance(index, slice):
-            return [self._record(pid) for pid in pids]
-        return self._record(pids)
+            return list(self)[index]
+        i = range(len(self))[index]
+        settled = len(self._table)
+        if i >= settled:
+            return list(self.live.values())[i - settled]
+        k, i = divmod(i, self._table.chunk_rows)
+        return self._revive([col[i] for col in self._table.chunk(k)])
 
     def __iter__(self) -> Iterator[PacketRecord]:
-        return map(self._record, range(len(self)))
+        yield from map(self._revive, self._table)
+        yield from self.live.values()
 
     def tally(self, warmup_ticks: int
-              ) -> tuple[dict[str, tuple[int, int, int]], dict[str | None, int]]:
-        """One pass over the packets created at or after warmup_ticks.
+              ) -> tuple[dict[str, tuple[int, int, int]], dict[str, int]]:
+        """One pass over the settled packets created at or after warmup_ticks.
 
         Returns (created, delivered, delay ticks summed over deliveries) per
-        direction seen, and the packet count of each fate, None counting
-        the unresolved ones.
+        direction seen, and the packet count of each fate.
         """
         sums = [[0, 0, 0] for _ in self._names]
         fates = [0] * len(_FATE_BY_ID)
         seen = set()
-        for directions, created_at, delivered_at, fate_ids in _chunks(
-                self._sealed, self._columns, (3, 5, 6, 7)):
+        for columns in self._table.chunks():
+            directions, _, created_at, delivered_at, fate_ids = columns[4:9]
             seen.update(directions)
             for nid, created, delivered, fid in zip(directions, created_at,
                                                     delivered_at, fate_ids):
@@ -295,10 +285,10 @@ class MetricsCollector:
         unresolved = Counter(p.direction for p in self.records.live.values())
         if unresolved:
             direction, n = min(unresolved.items())
-            created = self.records.tally(0)[0][direction][0]
             raise SimulationError(
                 f"packet conservation violated for {direction}: "
-                f"{created} created, {created - n} resolved")
+                f"{n} created without a fate")
+
 
 
 def pdr(records: Iterable[PacketRecord], direction: str,

@@ -62,7 +62,7 @@ class CtpParams(Checked):
 @dataclass(frozen=True)
 class RplParams(Checked):
     dio_interval_min: float = bounded(2.0, 0, strict=True)  # trickle Imin, seconds
-    dio_interval_doublings: int = bounded(20, 0)
+    dio_interval_doublings: int = bounded(20, 0, hi=255)  # an 8-bit field (RFC 6550)
     dio_redundancy_constant: int = bounded(1, 1)
     dao_interval: float = bounded(15.0, 0, strict=True)
     dis_interval: float = bounded(5.0, 0, strict=True)  # unjoined nodes solicit this often
@@ -71,11 +71,13 @@ class RplParams(Checked):
 
 @dataclass(frozen=True)
 class TrafficProfile(Checked):
-    report_bytes: int = bounded(512, 0, strict=True)
+    # payload sizes fit the IPv6 payload length field (RFC 8200)
+    report_bytes: int = bounded(512, 0, strict=True, hi=0xFFFF)
     report_period: float = bounded(60.0, 0, strict=True)
-    upward_ack_bytes: int = bounded(16, 0, strict=True)  # client ack per downward frame
-    downward_ack_bytes: int = bounded(12, 0, strict=True)  # concentrator ack per report
-    config_bytes: int = bounded(61, 0, strict=True)
+    # the client's ack per downward frame, the concentrator's per report
+    upward_ack_bytes: int = bounded(16, 0, strict=True, hi=0xFFFF)
+    downward_ack_bytes: int = bounded(12, 0, strict=True, hi=0xFFFF)
+    config_bytes: int = bounded(61, 0, strict=True, hi=0xFFFF)
     config_period: float = bounded(300.0, 0, strict=True)
 
 

@@ -2,8 +2,11 @@
 from __future__ import annotations
 
 import random
+import zlib
+from dataclasses import astuple
 from pathlib import Path
 
+import pytest
 from hypothesis import settings
 
 from llnsim.kernel import to_ticks
@@ -97,3 +100,25 @@ def root_ticks(result, label: str) -> list[int]:
 def tree_rreps(result) -> int:
     """Route reports sent toward the root in answer to tree builds."""
     return sum(engine.counters["tree_rrep"] for engine in result.nodes.values())
+
+
+def sealed_chunks(log) -> int:
+    """The sealed chunks one full read of a log inflates.
+
+    A sealed chunk holds one zlib stream per field of a row, and a full read
+    inflates each chunk once, so the streams it decompresses, divided by the
+    row's width, count the chunks.
+    """
+    streams = 0
+    decompress = zlib.decompress
+
+    def counting(data):
+        nonlocal streams
+        streams += 1
+        return decompress(data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zlib, "decompress", counting)
+        rows = [row if isinstance(row, tuple) else astuple(row) for row in log]
+    width = len(rows[0]) if rows else 1
+    assert streams % width == 0
+    return streams // width

@@ -29,6 +29,8 @@ from llnsim.experiment import expand_sweep, run_sweep, write_csv
 from llnsim.network import Network
 from llnsim.scenario import ScenarioConfig
 
+from conftest import sealed_chunks
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
 try:
@@ -237,8 +239,9 @@ def test_the_output_checks_read_sealed_logs_as_unsealed_ones(tmp_path,
     plain = _run_in_chunks_of(monkeypatch, 10**9)
     net = _run_in_chunks_of(monkeypatch, 16)
     records, control_log = net.metrics.records, net.metrics.control_log
-    assert len(records._sealed) >= 2 and len(control_log._sealed) >= 2
-    assert not plain.metrics.records._sealed
+    assert sealed_chunks(records) == len(records) // 16 >= 2
+    assert sealed_chunks(control_log) == len(control_log) // 16 >= 2
+    assert sealed_chunks(plain.metrics.records) == 0
     path = tmp_path / "sealed.csv"
     write_csv(str(path), [net.report])
     with open(path, newline="") as fh:

@@ -137,8 +137,15 @@ def test_cli_runs_the_published_distance_campaign(tmp_path, capsys):
     "[scenario]\nnode_count = 5\nduration = 300\n[mac]\nmax_retries = 2000\n",
     # warmup below duration, but both round to the same microsecond tick
     "[scenario]\nnode_count = 2\nduration = 60.0000004\nwarmup = 60\n",
+    # past the IPv6 payload length and RPL's 8-bit doublings field; unbounded,
+    # the first would overflow a packet log column and the second would build
+    # a trickle Imax of Imin * 2**(10**11)
+    "[scenario]\nnode_count = 5\nduration = 300\n"
+    "[traffic]\nreport_bytes = 2147483648\n",
+    "[scenario]\nnode_count = 5\nduration = 300\nbackend = rpl\n"
+    "[rpl]\ndio_interval_doublings = 100000000000\n",
 ], ids=["jitter-rule", "unplaceable", "backoff-exponent", "retries",
-        "sub-tick-window"])
+        "sub-tick-window", "payload-bytes", "dio-doublings"])
 def test_cli_reports_bad_configuration_on_exit_code_two(tmp_path, capsys, text):
     ini = tmp_path / "bad.ini"
     ini.write_text(text)

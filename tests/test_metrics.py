@@ -6,8 +6,11 @@ import statistics
 import tracemalloc
 from collections import Counter
 from dataclasses import astuple, replace
+from operator import attrgetter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llnsim import metrics
 from llnsim.kernel import SimulationError, to_seconds, to_ticks
@@ -21,7 +24,8 @@ from llnsim.network import Network
 from llnsim.radio import Position
 from llnsim.scenario import ScenarioConfig
 
-from conftest import chain_positions, control_rows, inject, quiet_cfg
+from conftest import (chain_positions, control_rows, inject, quiet_cfg,
+                      sealed_chunks)
 
 WARM = to_ticks(120.0)
 
@@ -176,7 +180,7 @@ def test_control_log_reads_back_rows_across_sealed_chunks(small_chunks, n):
     rows = [(to_ticks(28_000.0) + 7 * i, ("dio", "dao", "dis")[i % 3], i % 60,
              20 + i) for i in range(n)]
     log = _control_log(rows)
-    assert len(log._sealed) == n // K  # every Kth append seals
+    assert sealed_chunks(log) == n // K  # every Kth append seals
     assert len(log) == n
     assert list(log) == rows
     assert list(log) == rows
@@ -197,12 +201,16 @@ def _settle(c, pkt):
         c.dropped(pkt, (MAC_DROP, NO_ROUTE)[pkt.pid % 2])
 
 
+FATES = (DELIVERED, MAC_DROP, NO_ROUTE, DISCOVERY_TIMEOUT, BUFFER_OVERFLOW,
+         IN_FLIGHT)
+
+
 def _tally(records, w):
-    """PacketLog.tally recomputed from PacketRecords."""
-    sums = {p.direction: [0, 0, 0] for p in records}
-    fates = dict.fromkeys((None, DELIVERED, MAC_DROP, NO_ROUTE,
-                           DISCOVERY_TIMEOUT, BUFFER_OVERFLOW, IN_FLIGHT), 0)
-    for p in records:
+    """PacketLog.tally recomputed from PacketRecords: the settled ones."""
+    settled = [p for p in records if p.fate is not None]
+    sums = {p.direction: [0, 0, 0] for p in settled}
+    fates = dict.fromkeys(FATES, 0)
+    for p in settled:
         if p.created_at < w:
             continue
         row = sums[p.direction]
@@ -215,7 +223,8 @@ def _tally(records, w):
 
 
 def _same_as(log, oracle):
-    """Every read of the log agrees with a plain list of the same packets."""
+    """Every read of the log agrees with a plain list of the same packets in
+    the log's read order: settled ones as they settled, then the live ones."""
     rows = [astuple(p) for p in oracle]
     n = len(oracle)
     assert len(log) == n
@@ -238,29 +247,83 @@ def test_packet_log_reads_back_rows_across_sealed_chunks(small_chunks, n):
     for i in range(n):
         oracle.append(_open(c, i))
         _settle(c, oracle[-1])
-    # the open of pid K finds pids 0..K-1 settled and seals them
-    assert len(c.records._sealed) == max(n - 1, 0) // K
+    assert sealed_chunks(c.records) == n // K  # every Kth settle seals
     _same_as(c.records, oracle)
 
 
-def test_a_live_packet_holds_back_sealing_until_it_settles(small_chunks):
+def test_a_live_packet_holds_back_no_sealing(small_chunks):
     c = MetricsCollector(0)
     oracle = []
     for i in range(4 * K):
-        oracle.append(_open(c, i))
+        pkt = _open(c, i)
         if i != K + 1:
-            _settle(c, oracle[-1])
-    held = oracle[K + 1]
-    # the chunk of rows K..2K-1 holds a live packet, so it and every later
-    # chunk stay raw, and settle still writes into the raw rows
-    assert len(c.records._sealed) == 1 and list(c.records.live) == [K + 1]
-    _same_as(c.records, oracle)
-    assert c.records[K + 1] is held
+            _settle(c, pkt)
+            oracle.append(pkt)
+    held = c.records.live[K + 1]
+    # the 4K - 1 settled rows fill three chunks, each sealed as it filled;
+    # the live packet is read after them
+    assert sealed_chunks(c.records) == 3 and list(c.records.live) == [K + 1]
+    _same_as(c.records, oracle + [held])
+    assert c.records[-1] is held
     c.delivered(held, held.created_at + 1)
+    oracle.append(held)
     oracle.append(_open(c, 4 * K))
     _settle(c, oracle[-1])
-    assert len(c.records._sealed) == 4 and not c.records.live
+    assert sealed_chunks(c.records) == 4 and not c.records.live
     _same_as(c.records, oracle)
+
+
+def test_a_packet_held_to_the_end_of_a_run_holds_back_no_sealing(small_chunks):
+    # node 3 is removed with its own report in its MAC queue, so that packet
+    # stays unresolved until the run ends; meanwhile every other packet
+    # settles and each K of them seal
+    net = Network(ScenarioConfig(backend="rpl", node_count=20, duration=900.0,
+                                 removals=((506.4439, 3),))).run()
+    records = net.metrics.records
+    held = [p for p in records if p.fate == IN_FLIGHT]
+    assert [(p.src, p.kind) for p in held] == [(3, "report")]
+    assert net.report.in_flight >= 1
+    assert held[0].pid < len(records) - 10 * K
+    assert not records.live
+    assert sealed_chunks(records) == len(records) // K
+
+
+_OPS = st.lists(st.tuples(st.sampled_from(("open", "deliver", "drop", "close")),
+                          st.integers(0, 2**16)), max_size=60)
+
+
+@settings(max_examples=200)
+@given(_OPS)
+def test_packet_log_agrees_with_a_list_of_its_packets(ops):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "CHUNK_ROWS", K)
+        c = MetricsCollector(0)
+        opened, settled = [], []  # in pid order; in the order they settled
+        for op, x in ops:
+            live = [p for p in opened if p.fate is None]
+            if op == "open":  # a burst of one to eight packets
+                opened += [_open(c, x + i) for i in range(1 + x % 8)]
+            elif op == "close":  # the packets whose bit of x is set, settled or not
+                c.close([p for i, p in enumerate(opened) if (x >> i % 16) & 1])
+                settled += [p for p in live if p.fate is not None]
+            elif live:
+                pkt = live[x % len(live)]
+                if op == "deliver":
+                    c.delivered(pkt, pkt.created_at + x)
+                else:
+                    c.dropped(pkt, FATES[1 + x % 4])
+                settled.append(pkt)
+        log = c.records
+        live = [p for p in opened if p.fate is None]
+        order = settled + live
+        assert len(log) == len(opened)
+        assert Counter(map(astuple, log)) == Counter(map(astuple, opened))
+        assert list(log.live) == [p.pid for p in live]
+        assert all(log.live[p.pid] is p for p in live)
+        assert sealed_chunks(log) == len(settled) // K
+        _same_as(log, order)
+        for w in {p.created_at for p in opened}:
+            assert log.tally(w) == _tally(opened, w)
 
 
 def test_collector_rejects_double_resolution():
@@ -328,20 +391,24 @@ def test_packet_log_reads_back_live_and_settled_packets():
     c.close([pkts[4]])
     log = c.records
     rows = [astuple(p) for p in pkts]
-    assert len(log) == 6 and sorted(log.live) == [2, 3, 5]
-    assert [astuple(p) for p in log] == rows  # in pid order
-    assert [astuple(p) for p in log] == rows  # reading does not consume
+    pid = attrgetter("pid")
+    assert len(log) == 6 and list(log.live) == [2, 3, 5]
+    # the settled packets in the order they settled, then the live ones
+    assert [p.pid for p in log] == [0, 1, 4, 2, 3, 5]
+    assert [astuple(p) for p in sorted(log, key=pid)] == rows
+    assert [astuple(p) for p in sorted(log, key=pid)] == rows  # not consumed
     # an unresolved packet is the live object; a settled one is a fresh copy
-    assert log[2] is pkts[2] and log[-1] is pkts[5] and log[-4] is pkts[2]
+    assert log[3] is pkts[2] and log[-1] is pkts[5] and log[-3] is pkts[2]
     assert log[0] is not pkts[0] and log[0] == pkts[0]
     assert (log[0].hops, log[0].delivered_at) == (3, to_ticks(28_800.0))
-    assert astuple(log[-6]) == rows[0] and astuple(log[4]) == rows[4]
+    assert astuple(log[-6]) == rows[0] and astuple(log[2]) == rows[4]
     assert log[1].fate == MAC_DROP and log[1].delivered_at is None
-    assert log[4].fate == IN_FLIGHT
+    assert log[2].fate == IN_FLIGHT
     part = log[1:5]
-    assert isinstance(part, list) and [astuple(p) for p in part] == rows[1:5]
-    assert [p.pid for p in log[::-2]] == [5, 3, 1]
-    assert [p.pid for p in log[:2] + log[3:]] == [0, 1, 3, 4, 5]
+    assert isinstance(part, list) and [p.pid for p in part] == [1, 4, 2, 3]
+    assert [astuple(p) for p in sorted(part, key=pid)] == rows[1:5]
+    assert [p.pid for p in log[::-2]] == [5, 2, 1]
+    assert [p.pid for p in log[:2] + log[3:]] == [0, 1, 2, 3, 5]
     assert log[7:] == []
     for index in (6, -7):
         with pytest.raises(IndexError):
@@ -363,8 +430,10 @@ def test_an_unknown_fate_is_rejected_by_name():
                          ids=["src", "dst", "payload", "created"])
 def test_packet_log_refuses_values_it_cannot_hold(packet):
     src, dst, payload, now = packet
-    with pytest.raises(OverflowError):
-        MetricsCollector(0).new_packet(src, dst, payload, UP, "report", now)
+    c = MetricsCollector(0)
+    pkt = c.new_packet(src, dst, payload, UP, "report", now)
+    with pytest.raises(OverflowError):  # its row is written when it settles
+        c.dropped(pkt, MAC_DROP)
 
 
 def test_packet_log_refuses_a_settled_value_it_cannot_hold():
@@ -380,11 +449,12 @@ def test_packet_log_refuses_a_settled_value_it_cannot_hold():
 
 def test_packet_log_refuses_a_257th_name():
     c = MetricsCollector(0)
-    for i in range(254):
-        c.new_packet(1, 0, 512, UP, f"kind{i}", 0)  # 255 names with UP
-    c.new_packet(1, 0, 512, UP, "kind254", 0)  # the 256th
+    for i in range(254):  # 255 names with UP
+        c.dropped(c.new_packet(1, 0, 512, UP, f"kind{i}", 0), MAC_DROP)
+    c.dropped(c.new_packet(1, 0, 512, UP, "kind254", 0), MAC_DROP)  # the 256th
+    pkt = c.new_packet(1, 0, 512, UP, "kind255", 0)
     with pytest.raises(OverflowError):
-        c.new_packet(1, 0, 512, UP, "kind255", 0)
+        c.dropped(pkt, MAC_DROP)
 
 
 def test_packet_log_holds_a_settled_row_in_at_most_48_bytes():

@@ -1,6 +1,8 @@
 """DODAG joining, trickle discipline, DAO reporting, source-route repair."""
 from __future__ import annotations
 
+from operator import attrgetter
+
 from llnsim.kernel import to_seconds, to_ticks
 from llnsim.messages import BROADCAST, MsgKind, RouteMsg
 from llnsim.metrics import (BUFFER_OVERFLOW, DELIVERED, DOWN, MAC_DROP,
@@ -145,7 +147,7 @@ def test_detached_buffer_sheds_what_exceeds_its_capacity():
     for k in range(3):
         inject(net, 0.5 + 0.01 * k, 1, 0, 512, UP, "report")
     result = net.run()
-    records = result.metrics.records
+    records = sorted(result.metrics.records, key=attrgetter("pid"))
     assert [p.fate for p in records] == [DELIVERED, DELIVERED, BUFFER_OVERFLOW]
     assert net.nodes[1].counters["buffer_overflow"] == 1
     first_dio = root_ticks(result, "dio")[0]

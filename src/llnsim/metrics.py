@@ -8,6 +8,8 @@ from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, fields
+from itertools import accumulate, chain
+from operator import sub
 
 from .kernel import SimulationError, to_seconds
 
@@ -45,8 +47,12 @@ ControlRow = tuple[int, str, int, int]  # (tick, label, node, on-air bytes)
 
 class _Table:
     """Rows in typed array columns; each chunk_rows of them (CHUNK_ROWS when
-    the table was made) seal into one chunk, a zlib stream per column.  The
-    owner appends to each column itself and seals once they are that long.
+    the table was made) seal into one chunk, a zlib stream per column.  A
+    sealed "q" column holds its first value, then each value's difference
+    from the one before, so a column that rises steadily packs into small
+    repeating numbers.  The owner appends to each column itself, cuts them
+    back to their old length if a row fails half written, and seals once
+    they are chunk_rows long.
     """
 
     __slots__ = ("columns", "chunk_rows", "_sealed")
@@ -59,10 +65,23 @@ class _Table:
     def seal(self) -> None:
         """Compress the first chunk_rows rows into one chunk; drop them."""
         n = self.chunk_rows
-        self._sealed.append(tuple(zlib.compress(col[:n], 1)
-                                  for col in self.columns))
+        # every "q" value a log stores lies in [-1, 2**62): pids count
+        # packets, a tick is at most the run's end, which ScenarioConfig
+        # bounds below 2**62, and -1 marks no delivery; so a difference
+        # lies in [-2**62, 2**62] and fits in "q"
+        self._sealed.append(tuple(
+            zlib.compress(array("q", map(sub, col[:n], chain((0,), col)))
+                          if col.typecode == "q" else col[:n], 1)
+            for col in self.columns))
         for col in self.columns:
             del col[:n]
+
+    def cut(self) -> None:
+        """Undo a row half appended: cut every column back to the length of
+        the last, which the owner appends to last."""
+        n = len(self.columns[-1])
+        for col in self.columns:
+            del col[n:]
 
     def __len__(self) -> int:
         return len(self._sealed) * self.chunk_rows + len(self.columns[0])
@@ -71,8 +90,12 @@ class _Table:
         """The columns of chunk k, inflated; past the sealed ones, the raw."""
         if k == len(self._sealed):
             return self.columns
-        return [array(col.typecode, zlib.decompress(data))
-                for col, data in zip(self.columns, self._sealed[k])]
+        columns = []
+        for col, data in zip(self.columns, self._sealed[k]):
+            values = array(col.typecode, zlib.decompress(data))
+            columns.append(array("q", accumulate(values))
+                           if col.typecode == "q" else values)
+        return columns
 
     def chunks(self) -> Iterator[Sequence[array]]:
         return map(self.chunk, range(len(self._sealed) + 1))
@@ -95,11 +118,12 @@ class ControlLog:
     """One row per control frame put on air, held in a sealed table.
 
     A row takes 17 bytes of column storage until each CHUNK_ROWS rows are
-    sealed into one zlib chunk, about 4 bytes a row; the (tick, label, node,
-    bytes) tuple of a row exists only while someone iterates.  Labels are
-    stored as small ids into the list of distinct labels.  A value out of
-    its column's range (a 257th label, a node or size past 2**31) raises
-    OverflowError, which aborts the run, rather than wrapping.
+    sealed into one zlib chunk, about 2.4 bytes a row on the default 8 h
+    rpl run; the (tick, label, node, bytes) tuple of a row exists only
+    while someone iterates.  Labels are stored as small ids into the list
+    of distinct labels.  A value out of its column's range (a 257th label,
+    a node or size past 2**31) raises OverflowError, which aborts the run,
+    rather than wrapping, and leaves the log as it was.
     """
 
     __slots__ = ("_table", "_ticks", "_label_ids", "_nodes", "_sizes",
@@ -113,13 +137,17 @@ class ControlLog:
         self._ids: dict[str, int] = {}
 
     def append(self, now: int, label: str, node: int, on_air_bytes: int) -> None:
-        self._ticks.append(now)
         lid = self._ids.get(label)
         if lid is None:
             lid = _name_id(label, self._ids, self._labels)
-        self._label_ids.append(lid)
-        self._nodes.append(node)
-        self._sizes.append(on_air_bytes)
+        try:
+            self._ticks.append(now)
+            self._label_ids.append(lid)
+            self._nodes.append(node)
+            self._sizes.append(on_air_bytes)
+        except (OverflowError, TypeError):
+            self._table.cut()
+            raise
         if len(self._ticks) >= self._table.chunk_rows:
             self._table.seal()
 
@@ -146,13 +174,14 @@ class PacketLog(Sequence):
     settle gives it its one fate, appends its whole row (the pid, then the
     record's other fields in order) and releases the object.  A row takes
     43 bytes of column storage until each CHUNK_ROWS rows are sealed into
-    one zlib chunk, about 10 bytes a row, so a packet held to the end of the
-    run holds back no sealing.  Reading the log yields the settled packets
-    in the order they settled, as fresh PacketRecords, then the unresolved
-    ones, the live objects, in pid order; a slice is a list.  Direction and
-    kind are stored as small ids into the list of distinct names, the fate
-    as one of six ids.  A value out of its column's range raises
-    OverflowError at settle, as in ControlLog.
+    one zlib chunk, about 6.5 bytes a row on the default 8 h rpl run, so a
+    packet held to the end of the run holds back no sealing.  Reading the
+    log yields the settled packets in the order they settled, as fresh
+    PacketRecords, then the unresolved ones, the live objects, in pid
+    order; a slice is a list.  Direction and kind are stored as small ids
+    into the list of distinct names, the fate as one of six ids.  A value
+    out of its column's range raises OverflowError at settle, as in
+    ControlLog, and the packet stays live without a fate.
     """
 
     __slots__ = ("live", "_table", "_pid", "_src", "_dst", "_payload",
@@ -184,16 +213,22 @@ class PacketLog(Sequence):
         fid = _FATE_IDS.get(fate)
         if fid is None:
             raise SimulationError(f"packet {pkt.pid} given unknown fate {fate!r}")
-        self._pid.append(pkt.pid)
-        self._src.append(pkt.src)
-        self._dst.append(pkt.dst)
-        self._payload.append(pkt.payload_bytes)
-        self._direction.append(_name_id(pkt.direction, self._ids, self._names))
-        self._kind.append(_name_id(pkt.kind, self._ids, self._names))
-        self._created.append(pkt.created_at)
-        self._delivered.append(-1 if delivered_at is None else delivered_at)
-        self._fate.append(fid)
-        self._hops.append(pkt.hops)
+        try:
+            self._pid.append(pkt.pid)
+            self._src.append(pkt.src)
+            self._dst.append(pkt.dst)
+            self._payload.append(pkt.payload_bytes)
+            self._direction.append(_name_id(pkt.direction, self._ids,
+                                            self._names))
+            self._kind.append(_name_id(pkt.kind, self._ids, self._names))
+            self._created.append(pkt.created_at)
+            self._delivered.append(-1 if delivered_at is None
+                                   else delivered_at)
+            self._fate.append(fid)
+            self._hops.append(pkt.hops)
+        except (OverflowError, TypeError):
+            self._table.cut()  # the packet stays live, without a fate
+            raise
         del self.live[pkt.pid]
         pkt.fate = fate
         pkt.delivered_at = delivered_at

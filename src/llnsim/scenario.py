@@ -14,7 +14,8 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
 
-from .kernel import Checked, ConfigError, bounded, draw_uniform, to_ticks
+from .kernel import (TICKS_PER_SECOND, Checked, ConfigError, bounded,
+                     draw_uniform, to_ticks)
 from .messages import BROADCAST
 from .metrics import DOWN, UP, config_digest
 from .radio import MacParams, Position, RadioParams, reception_probability
@@ -28,6 +29,10 @@ CONCENTRATOR = 0  # the collection point always has address 0
 MAX_LINE_SPACING = 200.0
 
 MAX_PLACEMENT_RESAMPLES = 1000
+
+# the longest run, in whole seconds: its end tick stays below 2**62, the
+# range the sealed logs' difference coding relies on
+MAX_DURATION = (2**62 - 1) // TICKS_PER_SECOND
 
 
 @dataclass(frozen=True)
@@ -88,7 +93,8 @@ class ScenarioConfig(Checked):
     topology: str = "random-grid"
     grid_side: float = bounded(1000.0, 0, strict=True)
     concentrator_distance: float = 250.0  # used by distance-line layouts
-    duration: float = bounded(28800.0, 0, strict=True)  # seconds; baseline campaign length
+    # seconds; the baseline campaign length
+    duration: float = bounded(28800.0, 0, strict=True, hi=MAX_DURATION)
     warmup: float = bounded(120.0, 0)  # metrics ignore packets created before this
     seed: int = 1
     traffic_enabled: bool = True

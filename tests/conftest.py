@@ -102,23 +102,34 @@ def tree_rreps(result) -> int:
     return sum(engine.counters["tree_rrep"] for engine in result.nodes.values())
 
 
-def sealed_chunks(log) -> int:
-    """The sealed chunks one full read of a log inflates.
+def _sealed_streams(log) -> tuple[list[int], int]:
+    """The size of each zlib stream one full read of a log inflates, and
+    the width of the log's rows.
 
     A sealed chunk holds one zlib stream per field of a row, and a full read
-    inflates each chunk once, so the streams it decompresses, divided by the
-    row's width, count the chunks.
+    inflates each chunk once.
     """
-    streams = 0
+    sizes = []
     decompress = zlib.decompress
 
     def counting(data):
-        nonlocal streams
-        streams += 1
+        sizes.append(len(data))
         return decompress(data)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(zlib, "decompress", counting)
         rows = [row if isinstance(row, tuple) else astuple(row) for row in log]
     width = len(rows[0]) if rows else 1
-    assert streams % width == 0
-    return streams // width
+    assert len(sizes) % width == 0
+    return sizes, width
+
+
+def sealed_chunks(log) -> int:
+    """The sealed chunks one full read of a log inflates: the streams it
+    decompresses, divided by the row's width."""
+    sizes, width = _sealed_streams(log)
+    return len(sizes) // width
+
+
+def sealed_bytes(log) -> int:
+    """The compressed bytes of every sealed chunk of a log."""
+    return sum(_sealed_streams(log)[0])

@@ -9,7 +9,7 @@ from dataclasses import astuple, replace
 from operator import attrgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from llnsim import metrics
@@ -25,7 +25,7 @@ from llnsim.radio import Position
 from llnsim.scenario import ScenarioConfig
 
 from conftest import (chain_positions, control_rows, inject, quiet_cfg,
-                      sealed_chunks)
+                      sealed_bytes, sealed_chunks)
 
 WARM = to_ticks(120.0)
 
@@ -133,14 +133,25 @@ def test_control_log_reads_back_the_rows_it_was_given():
                                  (2**63, "rrep", 2, 40)],
                          ids=["node", "size", "tick"])
 def test_control_log_refuses_values_it_cannot_hold(row):
-    with pytest.raises(OverflowError):
-        ControlLog().append(*row)
+    _refused_row(_control_log([(5, "dio", 0, 66)]), row)
 
 
 def test_control_log_refuses_a_257th_label():
     log = _control_log([(i, f"label{i}", 0, 1) for i in range(256)])
+    _refused_row(log, (256, "label256", 0, 1))
+
+
+def _refused_row(log, row):
+    """Appending row raises OverflowError and leaves the log as it was: a
+    later row (with a label already seen) reads back whole, after the
+    earlier ones."""
+    before = list(log)
     with pytest.raises(OverflowError):
-        log.append(256, "label256", 0, 1)
+        log.append(*row)
+    assert len(log) == len(before) and list(log) == before
+    later = (7, before[0][1], 4, 20)
+    log.append(*later)
+    assert len(log) == len(before) + 1 and list(log) == before + [later]
 
 
 def test_overhead_rate_is_the_same_on_a_control_log():
@@ -326,6 +337,64 @@ def test_packet_log_agrees_with_a_list_of_its_packets(ops):
             assert log.tally(w) == _tally(opened, w)
 
 
+# a sealed 64-bit column holds differences; every value a run can log lies
+# in [-1, 2**62), and the draws favour its ends side by side
+_Q = st.sampled_from((-1, 0, 2**62 - 1)) | st.integers(-1, 2**62 - 1)
+_I = st.sampled_from((0, 2**31 - 1)) | st.integers(0, 2**31 - 1)
+_DELIVERED = (st.none() | st.sampled_from((0, 2**62 - 1))
+              | st.integers(0, 2**62 - 1))
+_EDGES = [-1, 2**62 - 1, -1, 0, 2**62 - 1, 2**62 - 1, 0, -1, 5, 2**62 - 1]
+
+
+@settings(max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(_Q, st.sampled_from(("dio", "dao", "dis")), _I, _I),
+                max_size=3 * K + 1),
+       st.lists(st.tuples(_I, _I, _I, _Q, _DELIVERED, _I, _I),
+                max_size=3 * K + 1))
+@example([(t, "dio", 2**31 - 1, 2**31 - 1) for t in _EDGES],
+         [(2**31 - 1, 2**31 - 1, 2**31 - 1, t, 2**62 - 1 - max(t, 0), i, -i)
+          for i, t in enumerate(_EDGES)])
+def test_sealed_logs_read_back_extreme_64_bit_values(small_chunks, control,
+                                                     packets):
+    log = _control_log(control)
+    assert len(log) == len(control) and list(log) == control
+    c = MetricsCollector(0)
+    opened = []
+    for src, dst, payload, created, _, hops, _ in packets:
+        pkt = c.new_packet(src, dst, payload, UP if hops % 2 else DOWN,
+                           "report", created)
+        pkt.hops = hops
+        opened.append(pkt)
+    # settled in the order of the last field, so pids need not rise
+    order = sorted(range(len(packets)), key=lambda i: packets[i][-1])
+    for i in order:
+        if packets[i][4] is None:
+            c.dropped(opened[i], MAC_DROP)
+        else:
+            c.delivered(opened[i], packets[i][4])
+    settled = [opened[i] for i in order]
+    assert sealed_chunks(c.records) == len(packets) // K
+    _same_as(c.records, settled)
+    for w in (-1, 0, 2**62 - 1):
+        assert c.records.tally(w) == _tally(settled, w)
+
+
+def test_an_rpl_run_seals_its_logs_into_few_bytes_a_row():
+    # 4 h, 20 nodes: 40,960 control and 12,288 packet rows sealed.  The
+    # logs' 64-bit columns are stored as differences; stored as values they
+    # took 3.8 and 9.1 B a row
+    net = Network(ScenarioConfig(backend="rpl", node_count=20,
+                                 duration=4 * 3600.0)).run()
+    per_row = []
+    for log in (net.metrics.control_log, net.metrics.records):
+        rows = sealed_chunks(log) * metrics.CHUNK_ROWS
+        assert rows >= 3 * metrics.CHUNK_ROWS
+        per_row.append(sealed_bytes(log) / rows)
+    control, packets = per_row
+    assert control <= 1.7 and packets <= 4.8  # 1.62 and 4.56 measured
+
+
 def test_collector_rejects_double_resolution():
     c = MetricsCollector(0)
     pkt = c.new_packet(1, 0, 512, UP, "report", 0)
@@ -431,20 +500,20 @@ def test_an_unknown_fate_is_rejected_by_name():
 def test_packet_log_refuses_values_it_cannot_hold(packet):
     src, dst, payload, now = packet
     c = MetricsCollector(0)
+    c.delivered(c.new_packet(3, 0, 512, UP, "report", 1), 2)
     pkt = c.new_packet(src, dst, payload, UP, "report", now)
-    with pytest.raises(OverflowError):  # its row is written when it settles
-        c.dropped(pkt, MAC_DROP)
+    # its row is written when it settles
+    _refused_settle(c, pkt, lambda: c.dropped(pkt, MAC_DROP))
 
 
 def test_packet_log_refuses_a_settled_value_it_cannot_hold():
     c = MetricsCollector(0)
+    c.delivered(c.new_packet(3, 0, 512, UP, "report", 1), 2)
     pkt = c.new_packet(1, 0, 512, UP, "report", 0)
     pkt.hops = 2**31
-    with pytest.raises(OverflowError):
-        c.dropped(pkt, MAC_DROP)
+    _refused_settle(c, pkt, lambda: c.dropped(pkt, MAC_DROP))
     pkt = c.new_packet(1, 0, 512, UP, "report", 0)
-    with pytest.raises(OverflowError):
-        c.delivered(pkt, 2**63)
+    _refused_settle(c, pkt, lambda: c.delivered(pkt, 2**63))
 
 
 def test_packet_log_refuses_a_257th_name():
@@ -453,8 +522,27 @@ def test_packet_log_refuses_a_257th_name():
         c.dropped(c.new_packet(1, 0, 512, UP, f"kind{i}", 0), MAC_DROP)
     c.dropped(c.new_packet(1, 0, 512, UP, "kind254", 0), MAC_DROP)  # the 256th
     pkt = c.new_packet(1, 0, 512, UP, "kind255", 0)
+    _refused_settle(c, pkt, lambda: c.dropped(pkt, MAC_DROP))
+
+
+def _refused_settle(c, pkt, settle):
+    """settle() raises OverflowError and leaves no trace of pkt's row: pkt
+    stays live without a fate, so conservation aborts naming its direction,
+    and the next packet (named as the first) gets the next pid and reads
+    back whole."""
+    def rows():
+        return [astuple(p) for p in sorted(c.records, key=attrgetter("pid"))]
+    before = rows()
     with pytest.raises(OverflowError):
-        c.dropped(pkt, MAC_DROP)
+        settle()
+    assert pkt.fate is None and c.records.live[pkt.pid] is pkt
+    assert len(c.records) == len(before) and rows() == before
+    first = c.records[0]
+    nxt = c.new_packet(2, 0, 61, first.direction, first.kind, 5)
+    c.delivered(nxt, 9)
+    assert nxt.pid == len(before) and rows() == before + [astuple(nxt)]
+    with pytest.raises(SimulationError, match=f"violated for {pkt.direction}"):
+        c.assert_conserved()
 
 
 def test_packet_log_holds_a_settled_row_in_at_most_48_bytes():

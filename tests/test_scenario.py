@@ -19,10 +19,10 @@ from llnsim.kernel import SimulationError, draw_uniform, to_ticks
 from llnsim.metrics import DELIVERED, DOWN, UP, report_row
 from llnsim.network import Network
 from llnsim.radio import MacParams, Position, RadioParams
-from llnsim.scenario import (ConfigError, CtpParams, LoadngParams, RplParams,
-                             ScenarioConfig, TrafficProfile,
-                             build_traffic_schedule, generate_topology,
-                             load_scenario)
+from llnsim.scenario import (MAX_DURATION, ConfigError, CtpParams,
+                             LoadngParams, RplParams, ScenarioConfig,
+                             TrafficProfile, build_traffic_schedule,
+                             generate_topology, load_scenario)
 
 from conftest import bfs_hops, chain_positions, inject, quiet_cfg
 
@@ -275,6 +275,17 @@ def test_node_count_stops_below_the_broadcast_address():
     with pytest.raises(ConfigError, match="node_count"):
         ScenarioConfig(node_count=0x10000).validate()
     ScenarioConfig(node_count=0xFFFF).validate()
+
+
+def test_duration_stops_below_2_62_ticks():
+    # the sealed logs store tick differences, which fit in 64 bits only
+    # while every tick lies below 2**62
+    assert to_ticks(MAX_DURATION) < 2**62
+    for below in (math.nextafter(MAX_DURATION, 0), MAX_DURATION):
+        ScenarioConfig(duration=below).validate()
+    for above in (math.nextafter(MAX_DURATION, math.inf), 2**62 / 1e6):
+        with pytest.raises(ConfigError, match="duration"):
+            ScenarioConfig(duration=above).validate()
 
 
 def test_jitter_rule_boundary_is_strict():

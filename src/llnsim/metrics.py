@@ -123,7 +123,10 @@ class ControlLog:
     while someone iterates.  Labels are stored as small ids into the list
     of distinct labels.  A value out of its column's range (a 257th label,
     a node or size past 2**31) raises OverflowError, which aborts the run,
-    rather than wrapping, and leaves the log as it was.
+    rather than wrapping, and leaves the log as it was.  A tick must lie
+    in [-1, 2**62), as every tick of a run does: sealing stores differences
+    of ticks, and past that range one may not fit in 64 bits, so seal
+    would raise with the row kept and the log could not seal again.
     """
 
     __slots__ = ("_table", "_ticks", "_label_ids", "_nodes", "_sizes",
@@ -181,7 +184,8 @@ class PacketLog(Sequence):
     order; a slice is a list.  Direction and kind are stored as small ids
     into the list of distinct names, the fate as one of six ids.  A value
     out of its column's range raises OverflowError at settle, as in
-    ControlLog, and the packet stays live without a fate.
+    ControlLog, and the packet stays live without a fate; the creation
+    and delivery ticks must lie in [-1, 2**62), as in ControlLog.
     """
 
     __slots__ = ("live", "_table", "_pid", "_src", "_dst", "_payload",

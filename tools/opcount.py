@@ -1,6 +1,6 @@
 """Count the bytecodes one simulated run executes.
 
-    PYTHONPATH=src python3 tools/opcount.py WORKLOAD [SECONDS]
+    PYTHONPATH=src python3 tools/opcount.py WORKLOAD
 
 Prints the bytecodes executed by building ``Network(cfg, layout)`` and
 running it, the layout drawn beforehand.  The count is a pure function of
@@ -8,9 +8,9 @@ the code, the configuration and the seed, so two versions of the program
 compare by it where host time cannot resolve a change of a few percent; it
 omits work inside C (the heap, zlib, array appends) and waiting.  WORKLOAD
 is one of the benchmark's single-run workloads (``bench/workloads.py``:
-seed 1 and seed 1's layout), cut to SECONDS of simulated time, by default
-300 s of ``reactive-dense`` or 900 s of ``proactive-8h``.  Tracing every
-bytecode makes a run about 15 times slower.
+seed 1 and seed 1's layout), cut to 300 s of simulated time for
+``reactive-dense`` and 900 s for ``proactive-8h``.  Tracing every bytecode
+makes a run about 15 times slower.
 """
 from __future__ import annotations
 
@@ -52,11 +52,11 @@ def count_run(cfg, layout) -> int:
     return n
 
 
-def count_workload(workload: str, seconds: float) -> int:
-    """count_run of a benchmark workload at seed 1, cut to seconds."""
+def count_workload(workload: str) -> int:
+    """count_run of a benchmark workload at seed 1, cut to SECONDS[workload]."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
     import workloads
-    cfg = replace(workloads.single_config(workload, 1), duration=seconds)
+    cfg = replace(workloads.single_config(workload, 1), duration=SECONDS[workload])
     return count_run(cfg, workloads.layout(cfg))
 
 
@@ -64,10 +64,8 @@ def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(
         description="Count the bytecodes one benchmark run executes.")
     parser.add_argument("workload", choices=SECONDS)
-    parser.add_argument("seconds", type=float, nargs="?")
     args = parser.parse_args(argv)
-    seconds = args.seconds or SECONDS[args.workload]
-    print(count_workload(args.workload, seconds))
+    print(count_workload(args.workload))
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ class CtpNode(LoadngNode):
 
     def start(self) -> None:
         if self.is_root:
-            self.sim.schedule_in(0, self._trigger_tree)
+            self.sim.schedule_at(self.sim.now, self._trigger_tree)
 
     # -- tree construction, root side ---------------------------------------
 
@@ -52,9 +52,9 @@ class CtpNode(LoadngNode):
         self._schedule_hello()
         # the build flood is planned the moment the trigger goes out
         build_delay = 2 * to_ticks(self.ctp.net_traversal_time)
-        self.sim.schedule_in(build_delay, self._send_build)
+        self.sim.schedule_at(self.sim.now + build_delay, self._send_build)
         if self.ctp.rebuild_interval > 0:
-            self.sim.schedule_in(to_ticks(self.ctp.rebuild_interval),
+            self.sim.schedule_at(self.sim.now + to_ticks(self.ctp.rebuild_interval),
                                  self._trigger_tree)
 
     def _send_build(self) -> None:

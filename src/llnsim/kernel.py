@@ -11,6 +11,10 @@ from typing import Callable
 
 TICKS_PER_SECOND = 1_000_000
 
+# the longest run or timer, in whole seconds: below 2**62 ticks, the range
+# the sealed logs' difference coding relies on, so to_ticks cannot overflow
+MAX_DURATION = (2**62 - 1) // TICKS_PER_SECOND
+
 
 def to_ticks(seconds: float) -> int:
     """Convert wall seconds to integer clock ticks (1 tick = 1 microsecond)."""
@@ -32,6 +36,11 @@ class ConfigError(ValueError):
 def bounded(default, lo, *, strict=False, hi=math.inf):
     """A parameter field whose value must be finite, >= lo (> lo if strict) and <= hi."""
     return field(default=default, metadata={"bounds": (lo, strict, hi)})
+
+
+def seconds(default, *, strict=False):
+    """A bounded field of seconds: >= 0 (> 0 if strict) and <= MAX_DURATION."""
+    return bounded(default, 0, strict=strict, hi=MAX_DURATION)
 
 
 class Checked:
@@ -108,9 +117,6 @@ class Simulator:
             raise SimulationError(
                 f"event scheduled in the past: {fire_at} < now {self.now}")
         self._counter += 1
-
-    def schedule_in(self, delay: int, fn: Callable[[], None]) -> None:
-        self.schedule_at(self.now + delay, fn)
 
     def reserve(self, n: int) -> int:
         """Reserve n insertion numbers; returns the first, for schedule_reserved."""

@@ -87,7 +87,7 @@ class LoadngNode(NodeEngine):
             # the route vanished under a packet already in flight; telling
             # the source is what lets it invalidate and rediscover
             self.counters["no_route_drop"] += 1
-            self.net.metrics.dropped(pkt, NO_ROUTE)
+            self.net.metrics.records.settle(pkt, NO_ROUTE)
             self._send_rerr(pkt.dst, pkt.src)
 
     def _route(self, dest: int) -> RoutingTuple | None:
@@ -125,7 +125,7 @@ class LoadngNode(NodeEngine):
                        seq=seq)
         self.after_jitter(self.params.rreq_jitter_max,
                           lambda: self.send_control(msg, BROADCAST))
-        self.sim.schedule_in(self.ntt_ticks,
+        self.sim.schedule_at(self.sim.now + self.ntt_ticks,
                              lambda: self._discovery_timeout(dest, seq))
         self.counters["rreq_originated"] += 1
         return seq
@@ -137,7 +137,7 @@ class LoadngNode(NodeEngine):
         del self.pending[dest]
         self.counters["discovery_timeout"] += 1
         for pkt in disc.packets:
-            self.net.metrics.dropped(pkt, DISCOVERY_TIMEOUT)
+            self.net.metrics.records.settle(pkt, DISCOVERY_TIMEOUT)
 
     def _update_route(self, dest: int, next_hop: int, metric: int,
                       seq: int) -> bool:

@@ -8,7 +8,7 @@ from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, fields
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from operator import sub
 
 from .kernel import SimulationError, to_seconds
@@ -45,22 +45,47 @@ class PacketRecord:
 ControlRow = tuple[int, str, int, int]  # (tick, label, node, on-air bytes)
 
 
+class _Names(dict):
+    """Name -> small id; a name not seen before takes the next id, so
+    list(names) is the id -> name table."""
+
+    def __missing__(self, name: str) -> int:
+        nid = self[name] = len(self)
+        return nid
+
+
 class _Table:
     """Rows in typed array columns; each chunk_rows of them (CHUNK_ROWS when
     the table was made) seal into one chunk, a zlib stream per column.  A
     sealed "q" column holds its first value, then each value's difference
     from the one before, so a column that rises steadily packs into small
-    repeating numbers.  The owner appends to each column itself, cuts them
-    back to their old length if a row fails half written, and seals once
-    they are chunk_rows long.
+    repeating numbers.  Its owner writes each row whole through append,
+    storing a name as its id in ``names``.
     """
 
-    __slots__ = ("columns", "chunk_rows", "_sealed")
+    __slots__ = ("columns", "chunk_rows", "names", "_sealed")
 
     def __init__(self, typecodes: str) -> None:
         self.columns = tuple(array(code) for code in typecodes)
         self.chunk_rows = CHUNK_ROWS
+        self.names = _Names()
         self._sealed: list[tuple[bytes, ...]] = []
+
+    def append(self, row: tuple) -> None:
+        """Write one row, a value per column, and seal a full chunk.  A value
+        its column refuses (out of range, or not an int) raises and leaves
+        every column as it was: the last column, written last, is untouched
+        and gives the length to cut the others back to."""
+        try:
+            # array.append returns None, so any() runs the map to its end
+            any(map(array.append, self.columns, row))
+        except (OverflowError, TypeError):
+            n = len(self.columns[-1])
+            for col in self.columns:
+                del col[n:]
+            raise
+        if len(self.columns[0]) >= self.chunk_rows:
+            self.seal()
 
     def seal(self) -> None:
         """Compress the first chunk_rows rows into one chunk; drop them."""
@@ -75,13 +100,6 @@ class _Table:
             for col in self.columns))
         for col in self.columns:
             del col[:n]
-
-    def cut(self) -> None:
-        """Undo a row half appended: cut every column back to the length of
-        the last, which the owner appends to last."""
-        n = len(self.columns[-1])
-        for col in self.columns:
-            del col[n:]
 
     def __len__(self) -> int:
         return len(self._sealed) * self.chunk_rows + len(self.columns[0])
@@ -105,60 +123,35 @@ class _Table:
             yield from zip(*columns)
 
 
-def _name_id(name: str, ids: dict[str, int], names: list[str]) -> int:
-    """The small id of name, the next free one when name is new."""
-    nid = ids.get(name)
-    if nid is None:
-        nid = ids[name] = len(names)
-        names.append(name)
-    return nid
-
-
 class ControlLog:
     """One row per control frame put on air, held in a sealed table.
 
-    A row takes 17 bytes of column storage until each CHUNK_ROWS rows are
-    sealed into one zlib chunk, about 2.4 bytes a row on the default 8 h
-    rpl run; the (tick, label, node, bytes) tuple of a row exists only
-    while someone iterates.  Labels are stored as small ids into the list
-    of distinct labels.  A value out of its column's range (a 257th label,
-    a node or size past 2**31) raises OverflowError, which aborts the run,
-    rather than wrapping, and leaves the log as it was.  A tick must lie
-    in [-1, 2**62), as every tick of a run does: sealing stores differences
-    of ticks, and past that range one may not fit in 64 bits, so seal
-    would raise with the row kept and the log could not seal again.
+    The radio calls append once per frame, and append writes the (tick,
+    label, node, bytes) row whole; the table owns the labels, storing each
+    as its small id.  A row takes 17 bytes of column storage until each
+    CHUNK_ROWS rows are sealed into one zlib chunk, about 2.4 bytes a row on
+    the default 8 h rpl run; the row tuple exists only while someone
+    iterates.  A value out of its column's range (a 257th label, a node or
+    size past 2**31) raises OverflowError, which aborts the run, rather than
+    wrapping, and leaves the log as it was.  A tick must lie in [-1, 2**62),
+    as every tick of a run does: sealing stores differences of ticks, and
+    past that range one may not fit in 64 bits, so seal would raise with the
+    row kept and the log could not seal again.
     """
 
-    __slots__ = ("_table", "_ticks", "_label_ids", "_nodes", "_sizes",
-                 "_labels", "_ids")
+    __slots__ = ("_table",)
 
     def __init__(self) -> None:
         self._table = _Table("qBii")
-        self._ticks, self._label_ids, self._nodes, self._sizes = (
-            self._table.columns)
-        self._labels: list[str] = []  # label id -> label
-        self._ids: dict[str, int] = {}
 
     def append(self, now: int, label: str, node: int, on_air_bytes: int) -> None:
-        lid = self._ids.get(label)
-        if lid is None:
-            lid = _name_id(label, self._ids, self._labels)
-        try:
-            self._ticks.append(now)
-            self._label_ids.append(lid)
-            self._nodes.append(node)
-            self._sizes.append(on_air_bytes)
-        except (OverflowError, TypeError):
-            self._table.cut()
-            raise
-        if len(self._ticks) >= self._table.chunk_rows:
-            self._table.seal()
+        self._table.append((now, self._table.names[label], node, on_air_bytes))
 
     def __len__(self) -> int:
         return len(self._table)
 
     def __iter__(self) -> Iterator[ControlRow]:
-        label = self._labels.__getitem__
+        label = list(self._table.names).__getitem__
         for ticks, label_ids, nodes, sizes in self._table.chunks():
             yield from zip(ticks, map(label, label_ids), nodes, sizes)
 
@@ -169,37 +162,39 @@ _FATE_IDS = {fate: fid for fid, fate in enumerate(_FATE_BY_ID)}
 _DELIVERED_ID = _FATE_IDS[DELIVERED]
 
 
+def _revive(row: tuple, names: list[str]) -> PacketRecord:
+    """A fresh PacketRecord from a settled row and its table's names."""
+    pid, src, dst, payload, direction, kind, created, delivered, fid, hops = row
+    return PacketRecord(pid, src, dst, payload, names[direction], names[kind],
+                        created, None if delivered < 0 else delivered,
+                        _FATE_BY_ID[fid], hops)
+
+
 class PacketLog(Sequence):
     """Every application packet of a run: settled rows in a sealed table,
     unresolved packets as live objects.
 
-    open files a packet's PacketRecord in ``live`` under the next pid.
-    settle gives it its one fate, appends its whole row (the pid, then the
-    record's other fields in order) and releases the object.  A row takes
+    The network opens each packet it creates: open files a PacketRecord in
+    ``live`` under the next pid.  Whoever decides the packet's fate settles
+    it: settle writes its whole row (the record's fields in order) and
+    releases the object.  The table owns the direction and kind names,
+    storing each as its small id; the fate is one of six ids.  A row takes
     43 bytes of column storage until each CHUNK_ROWS rows are sealed into
     one zlib chunk, about 6.5 bytes a row on the default 8 h rpl run, so a
     packet held to the end of the run holds back no sealing.  Reading the
     log yields the settled packets in the order they settled, as fresh
     PacketRecords, then the unresolved ones, the live objects, in pid
-    order; a slice is a list.  Direction and kind are stored as small ids
-    into the list of distinct names, the fate as one of six ids.  A value
-    out of its column's range raises OverflowError at settle, as in
-    ControlLog, and the packet stays live without a fate; the creation
-    and delivery ticks must lie in [-1, 2**62), as in ControlLog.
+    order; a slice is a list.  A value out of its column's range raises
+    OverflowError at settle, as in ControlLog, and the packet stays live
+    without a fate.  Its ticks must lie in [-1, 2**62), as in ControlLog:
+    past that, seal may raise with the row kept and the packet still live.
     """
 
-    __slots__ = ("live", "_table", "_pid", "_src", "_dst", "_payload",
-                 "_direction", "_kind", "_created", "_delivered", "_fate",
-                 "_hops", "_names", "_ids")
+    __slots__ = ("live", "_table")
 
     def __init__(self) -> None:
         self.live: dict[int, PacketRecord] = {}
-        self._table = _Table("qiiiBBqqBi")
-        (self._pid, self._src, self._dst, self._payload, self._direction,
-         self._kind, self._created, self._delivered, self._fate,
-         self._hops) = self._table.columns  # PacketRecord's order
-        self._names: list[str] = []  # name id -> direction or kind
-        self._ids: dict[str, int] = {}
+        self._table = _Table("qiiiBBqqBi")  # PacketRecord's order
 
     def open(self, src: int, dst: int, payload_bytes: int, direction: str,
              kind: str, now: int) -> PacketRecord:
@@ -217,35 +212,14 @@ class PacketLog(Sequence):
         fid = _FATE_IDS.get(fate)
         if fid is None:
             raise SimulationError(f"packet {pkt.pid} given unknown fate {fate!r}")
-        try:
-            self._pid.append(pkt.pid)
-            self._src.append(pkt.src)
-            self._dst.append(pkt.dst)
-            self._payload.append(pkt.payload_bytes)
-            self._direction.append(_name_id(pkt.direction, self._ids,
-                                            self._names))
-            self._kind.append(_name_id(pkt.kind, self._ids, self._names))
-            self._created.append(pkt.created_at)
-            self._delivered.append(-1 if delivered_at is None
-                                   else delivered_at)
-            self._fate.append(fid)
-            self._hops.append(pkt.hops)
-        except (OverflowError, TypeError):
-            self._table.cut()  # the packet stays live, without a fate
-            raise
+        names = self._table.names
+        self._table.append((
+            pkt.pid, pkt.src, pkt.dst, pkt.payload_bytes, names[pkt.direction],
+            names[pkt.kind], pkt.created_at,
+            -1 if delivered_at is None else delivered_at, fid, pkt.hops))
         del self.live[pkt.pid]
         pkt.fate = fate
         pkt.delivered_at = delivered_at
-        if len(self._pid) >= self._table.chunk_rows:
-            self._table.seal()
-
-    def _revive(self, row: tuple) -> PacketRecord:
-        (pid, src, dst, payload, direction, kind, created, delivered, fid,
-         hops) = row
-        return PacketRecord(pid, src, dst, payload, self._names[direction],
-                            self._names[kind], created,
-                            None if delivered < 0 else delivered,
-                            _FATE_BY_ID[fid], hops)
 
     def __len__(self) -> int:
         return len(self._table) + len(self.live)
@@ -259,10 +233,11 @@ class PacketLog(Sequence):
         if i >= settled:
             return list(self.live.values())[i - settled]
         k, i = divmod(i, self._table.chunk_rows)
-        return self._revive([col[i] for col in self._table.chunk(k)])
+        return _revive([col[i] for col in self._table.chunk(k)],
+                       list(self._table.names))
 
     def __iter__(self) -> Iterator[PacketRecord]:
-        yield from map(self._revive, self._table)
+        yield from map(_revive, self._table, repeat(list(self._table.names)))
         yield from self.live.values()
 
     def tally(self, warmup_ticks: int
@@ -272,7 +247,8 @@ class PacketLog(Sequence):
         Returns (created, delivered, delay ticks summed over deliveries) per
         direction seen, and the packet count of each fate.
         """
-        sums = [[0, 0, 0] for _ in self._names]
+        names = list(self._table.names)
+        sums = [[0, 0, 0] for _ in names]
         fates = [0] * len(_FATE_BY_ID)
         seen = set()
         for columns in self._table.chunks():
@@ -288,27 +264,19 @@ class PacketLog(Sequence):
                 if fid == _DELIVERED_ID:
                     row[1] += 1
                     row[2] += delivered - created
-        per_direction = {self._names[nid]: tuple(sums[nid]) for nid in seen}
+        per_direction = {names[nid]: tuple(sums[nid]) for nid in seen}
         return per_direction, dict(zip(_FATE_BY_ID, fates))
 
 
 class MetricsCollector:
-    """Gathers packet records and a timestamped control-transmission log."""
+    """A run's warmup and two logs: the network opens each packet in
+    ``records`` and whoever decides its fate settles it there, and the radio
+    appends each control frame to ``control_log``."""
 
     def __init__(self, warmup_ticks: int) -> None:
         self.warmup_ticks = warmup_ticks
         self.records = PacketLog()
         self.control_log = ControlLog()
-
-    def new_packet(self, src: int, dst: int, payload_bytes: int,
-                   direction: str, kind: str, now: int) -> PacketRecord:
-        return self.records.open(src, dst, payload_bytes, direction, kind, now)
-
-    def delivered(self, pkt: PacketRecord, now: int) -> None:
-        self.records.settle(pkt, DELIVERED, now)
-
-    def dropped(self, pkt: PacketRecord, fate: str) -> None:
-        self.records.settle(pkt, fate)
 
     def close(self, held) -> None:
         """Give the end-of-run fate to the packets nodes still hold.
@@ -327,7 +295,6 @@ class MetricsCollector:
             raise SimulationError(
                 f"packet conservation violated for {direction}: "
                 f"{n} created without a fate")
-
 
 
 def pdr(records: Iterable[PacketRecord], direction: str,

@@ -10,9 +10,9 @@ from __future__ import annotations
 from .ctp import CtpNode
 from .kernel import SimulationError, Simulator, to_seconds, to_ticks
 from .loadng import LoadngNode
-from .metrics import (DOWN, UP, BUFFER_OVERFLOW, DISCOVERY_TIMEOUT, IN_FLIGHT,
-                      MAC_DROP, NO_ROUTE, MetricsCollector, MetricsReport,
-                      overhead_rate)
+from .metrics import (DELIVERED, DOWN, UP, BUFFER_OVERFLOW, DISCOVERY_TIMEOUT,
+                      IN_FLIGHT, MAC_DROP, NO_ROUTE, MetricsCollector,
+                      MetricsReport, overhead_rate)
 from .radio import Medium
 from .rpl import RplNode
 from .scenario import (CONCENTRATOR, ScenarioConfig, build_traffic_schedule,
@@ -100,16 +100,16 @@ class Network:
 
     def app_send(self, src: int, dst: int, payload_bytes: int, direction: str,
                  kind: str) -> None:
-        pkt = self.metrics.new_packet(src, dst, payload_bytes, direction, kind,
-                                      self.sim.now)
+        pkt = self.metrics.records.open(src, dst, payload_bytes, direction,
+                                        kind, self.sim.now)
         engine = self.nodes[src]
         if engine.mac.dead:
-            self.metrics.dropped(pkt, NO_ROUTE)
+            self.metrics.records.settle(pkt, NO_ROUTE)
             return
         engine.handle_app_send(pkt)
 
     def app_delivered(self, pkt, at_addr: int) -> None:
-        self.metrics.delivered(pkt, self.sim.now)
+        self.metrics.records.settle(pkt, DELIVERED, self.sim.now)
         if not self.cfg.traffic_enabled:
             return
         traffic = self.cfg.traffic
@@ -120,8 +120,8 @@ class Network:
             size, direction = traffic.upward_ack_bytes, UP
         else:
             return
-        ack = self.metrics.new_packet(at_addr, pkt.src, size, direction, "ack",
-                                      self.sim.now)
+        ack = self.metrics.records.open(at_addr, pkt.src, size, direction,
+                                        "ack", self.sim.now)
         self.nodes[at_addr].handle_app_send(ack)
 
     def remove_node(self, addr: int) -> None:

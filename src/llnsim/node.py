@@ -53,7 +53,7 @@ class NodeEngine:
             self.on_link_ok(frame)
             return
         if frame.kind == KIND_DATA:
-            self.net.metrics.dropped(frame.packet, MAC_DROP)
+            self.net.metrics.records.settle(frame.packet, MAC_DROP)
             self.on_broken_link(frame)
         else:
             self.counters[f"lost_{frame.label}"] += 1
@@ -81,23 +81,24 @@ class NodeEngine:
         if pkt.hops >= self.net.hop_limit:
             # routing transients can form short-lived loops; cut them here
             self.counters["hop_limit_drop"] += 1
-            self.net.metrics.dropped(pkt, NO_ROUTE)
+            self.net.metrics.records.settle(pkt, NO_ROUTE)
             return
         pkt.hops += 1
         frame = Frame(self.addr, next_hop, pkt.payload_bytes + header_bytes,
                       KIND_DATA, "data", None, pkt, source_route)
         if not self.mac.enqueue(frame):
-            self.net.metrics.dropped(pkt, MAC_DROP)
+            self.net.metrics.records.settle(pkt, MAC_DROP)
 
     def after_jitter(self, hi: float, fn, lo: float = 0.0) -> None:
         """Run fn after a delay drawn uniformly on [lo, hi] seconds."""
-        self.sim.schedule_in(to_ticks(draw_uniform(self.rng, lo, hi)), fn)
+        self.sim.schedule_at(
+            self.sim.now + to_ticks(draw_uniform(self.rng, lo, hi)), fn)
 
     def hold(self, buffer, capacity: int, pkt) -> None:
         """Queue pkt in buffer, or drop it as an overflow when buffer is full."""
         if len(buffer) >= capacity:
             self.counters["buffer_overflow"] += 1
-            self.net.metrics.dropped(pkt, BUFFER_OVERFLOW)
+            self.net.metrics.records.settle(pkt, BUFFER_OVERFLOW)
         else:
             buffer.append(pkt)
 

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .kernel import (Checked, SimulationError, Simulator, TICKS_PER_SECOND, bounded,
-                     draw_uniform, to_ticks)
+                     draw_uniform, seconds, to_ticks)
 from .messages import BROADCAST
 
 # every frame pays this many bytes of link header on the air
@@ -42,7 +42,7 @@ class RadioParams(Checked):
 @dataclass(frozen=True)
 class MacParams(Checked):
     max_retries: int = bounded(3, 0, hi=7)  # IEEE 802.15.4 macMaxFrameRetries
-    backoff_unit: float = bounded(0.00032, 0, strict=True)  # seconds
+    backoff_unit: float = seconds(0.00032, strict=True)
     max_backoff_exponent: int = bounded(5, 0, hi=8)  # IEEE 802.15.4 macMaxBE
     queue_capacity: int = bounded(8, 1)
 
@@ -186,7 +186,8 @@ class Medium:
         airtime = self._airtimes.get(size)
         if airtime is None:
             airtime = self._airtimes[size] = self.airtime_ticks(size)
-        self.sim.schedule_in(airtime, lambda: self._finish(sender, frame, on_done))
+        self.sim.schedule_at(self.sim.now + airtime,
+                             lambda: self._finish(sender, frame, on_done))
 
     def _finish(self, sender: int, frame: Frame, on_done) -> None:
         row = self._on_air.pop(sender)
@@ -242,7 +243,7 @@ class NodeMac:
             self.active = True
             self._attempt_no = 0
             self._retries = 0
-            self.sim.schedule_in(0, self._attempt)
+            self.sim.schedule_at(self.sim.now, self._attempt)
         return True
 
     def _backoff_ticks(self) -> int:
@@ -257,7 +258,7 @@ class NodeMac:
         if self.medium.busy_for(self.addr):
             delay = self._backoff_ticks()
             self._attempt_no += 1
-            self.sim.schedule_in(delay, self._attempt)
+            self.sim.schedule_at(self.sim.now + delay, self._attempt)
             return
         self.transmissions += 1
         self.medium.transmit(self.addr, self.queue[0], self._tx_done)
@@ -283,8 +284,9 @@ class NodeMac:
             self._attempt_no += 1
             window = (self.params.backoff_unit
                       * (1 << (self.params.max_backoff_exponent + self._retries)))
-            self.sim.schedule_in(to_ticks(draw_uniform(self.rng, 0.0, window)),
-                                 self._attempt)
+            self.sim.schedule_at(
+                self.sim.now + to_ticks(draw_uniform(self.rng, 0.0, window)),
+                self._attempt)
             return
         else:
             self.queue.popleft()
@@ -293,7 +295,7 @@ class NodeMac:
         self._attempt_no = 0
         self._retries = 0
         if self.queue:
-            self.sim.schedule_in(0, self._attempt)
+            self.sim.schedule_at(self.sim.now, self._attempt)
         else:
             self.active = False
 

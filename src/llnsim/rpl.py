@@ -57,7 +57,7 @@ class RplNode(NodeEngine):
         else:
             self._dis_running = True
             delay = int(self.rng.random() * to_ticks(self.rpl.dis_interval))
-            self.sim.schedule_in(delay, self._send_dis)
+            self.sim.schedule_at(self.sim.now + delay, self._send_dis)
 
     def held_packets(self) -> list:
         return super().held_packets() + list(self.buffer)
@@ -70,8 +70,9 @@ class RplNode(NodeEngine):
         self.heard = 0
         half = self.interval // 2
         offset = half + int(self.rng.random() * (self.interval - half))
-        self.sim.schedule_in(offset, lambda: self._trickle_fire(epoch))
-        self.sim.schedule_in(self.interval, lambda: self._trickle_end(epoch))
+        now = self.sim.now
+        self.sim.schedule_at(now + offset, lambda: self._trickle_fire(epoch))
+        self.sim.schedule_at(now + self.interval, lambda: self._trickle_end(epoch))
 
     def _trickle_fire(self, epoch: int) -> None:
         if epoch != self._epoch or self.rank is None:
@@ -148,13 +149,14 @@ class RplNode(NodeEngine):
         msg = RouteMsg(MsgKind.DIS, originator=self.addr,
                        destination=BROADCAST)
         self.send_control(msg, BROADCAST)
-        self.sim.schedule_in(to_ticks(self.rpl.dis_interval), self._send_dis)
+        self.sim.schedule_at(self.sim.now + to_ticks(self.rpl.dis_interval),
+                             self._send_dis)
 
     def _solicit(self) -> None:
         if self._dis_running:
             return
         self._dis_running = True
-        self.sim.schedule_in(0, self._send_dis)
+        self.sim.schedule_at(self.sim.now, self._send_dis)
 
     def _on_join(self) -> None:
         while self.buffer:
@@ -163,7 +165,7 @@ class RplNode(NodeEngine):
             return  # a rejoin must not stack a second reporting loop
         self._dao_running = True
         delay = int(self.rng.random() * to_ticks(self.rpl.dao_interval))
-        self.sim.schedule_in(delay, self._emit_dao)
+        self.sim.schedule_at(self.sim.now + delay, self._emit_dao)
 
     def _emit_dao(self) -> None:
         if self.mac.dead:
@@ -173,7 +175,8 @@ class RplNode(NodeEngine):
                            destination=CONCENTRATOR,
                            dao_parent=self.preferred)
             self.send_control(msg, self.preferred)
-        self.sim.schedule_in(to_ticks(self.rpl.dao_interval), self._emit_dao)
+        self.sim.schedule_at(self.sim.now + to_ticks(self.rpl.dao_interval),
+                             self._emit_dao)
 
     def _process_dao(self, m: RouteMsg, prev_hop: int) -> None:
         if self.is_root:
@@ -208,7 +211,7 @@ class RplNode(NodeEngine):
         path = self._source_route(pkt.dst)
         if path is None:
             self.counters["no_route_drop"] += 1
-            self.net.metrics.dropped(pkt, NO_ROUTE)
+            self.net.metrics.records.settle(pkt, NO_ROUTE)
         else:
             self._send_source_routed(pkt, path)
 
@@ -241,7 +244,7 @@ class RplNode(NodeEngine):
         else:
             # downward frame with an exhausted hop list that is not for us
             self.counters["no_route_drop"] += 1
-            self.net.metrics.dropped(pkt, NO_ROUTE)
+            self.net.metrics.records.settle(pkt, NO_ROUTE)
 
     # -- failure handling ---------------------------------------------------
 

@@ -8,14 +8,13 @@ acks plus 61-byte config pushes every 300 s downward.
 from __future__ import annotations
 
 import configparser
-import math
 import random
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
 
-from .kernel import (TICKS_PER_SECOND, Checked, ConfigError, bounded,
-                     draw_uniform, to_ticks)
+from .kernel import (MAX_DURATION, Checked, ConfigError, bounded,
+                     draw_uniform, seconds, to_ticks)
 from .messages import BROADCAST
 from .metrics import DOWN, UP, config_digest
 from .radio import MacParams, Position, RadioParams, reception_probability
@@ -30,27 +29,23 @@ MAX_LINE_SPACING = 200.0
 
 MAX_PLACEMENT_RESAMPLES = 1000
 
-# the longest run, in whole seconds: its end tick stays below 2**62, the
-# range the sealed logs' difference coding relies on
-MAX_DURATION = (2**62 - 1) // TICKS_PER_SECOND
-
 
 @dataclass(frozen=True)
 class LoadngParams(Checked):
-    rreq_jitter_max: float = bounded(0.5, 0)  # seconds of flood desync per hop
-    route_lifetime: float = bounded(15.0, 0, strict=True)  # seconds a tuple lives unused
-    net_traversal_time: float = bounded(10.0, 0, strict=True)  # discovery timeout, no retry
+    rreq_jitter_max: float = seconds(0.5)  # flood desync per hop
+    route_lifetime: float = seconds(15.0, strict=True)  # how long a tuple lives unused
+    net_traversal_time: float = seconds(10.0, strict=True)  # discovery timeout, no retry
     buffer_capacity: int = bounded(4, 1)  # packets held per destination in discovery
 
 
 @dataclass(frozen=True)
 class CtpParams(Checked):
-    net_traversal_time: float = bounded(10.0, 0, strict=True)  # build flood fires at twice this
-    rreq_max_jitter: float = bounded(1.0, 0, strict=True)
-    hello_min_jitter: float = bounded(3.0, 0, strict=True)
-    hello_max_jitter: float = bounded(5.0, 0, strict=True)
+    net_traversal_time: float = seconds(10.0, strict=True)  # build flood fires at twice this
+    rreq_max_jitter: float = seconds(1.0, strict=True)
+    hello_min_jitter: float = seconds(3.0, strict=True)
+    hello_max_jitter: float = seconds(5.0, strict=True)
     rrep_required: bool = True  # build flood asks every node to report its path
-    rebuild_interval: float = bounded(0.0, 0)  # 0 disables periodic re-triggering
+    rebuild_interval: float = seconds(0.0)  # 0 disables periodic re-triggering
 
     def validate(self) -> None:
         super().validate()
@@ -66,11 +61,11 @@ class CtpParams(Checked):
 
 @dataclass(frozen=True)
 class RplParams(Checked):
-    dio_interval_min: float = bounded(2.0, 0, strict=True)  # trickle Imin, seconds
+    dio_interval_min: float = seconds(2.0, strict=True)  # trickle Imin
     dio_interval_doublings: int = bounded(20, 0, hi=255)  # an 8-bit field (RFC 6550)
     dio_redundancy_constant: int = bounded(1, 1)
-    dao_interval: float = bounded(15.0, 0, strict=True)
-    dis_interval: float = bounded(5.0, 0, strict=True)  # unjoined nodes solicit this often
+    dao_interval: float = seconds(15.0, strict=True)
+    dis_interval: float = seconds(5.0, strict=True)  # unjoined nodes solicit this often
     buffer_capacity: int = bounded(4, 1)  # upward packets held until the node joins
 
 
@@ -78,12 +73,12 @@ class RplParams(Checked):
 class TrafficProfile(Checked):
     # payload sizes fit the IPv6 payload length field (RFC 8200)
     report_bytes: int = bounded(512, 0, strict=True, hi=0xFFFF)
-    report_period: float = bounded(60.0, 0, strict=True)
+    report_period: float = seconds(60.0, strict=True)
     # the client's ack per downward frame, the concentrator's per report
     upward_ack_bytes: int = bounded(16, 0, strict=True, hi=0xFFFF)
     downward_ack_bytes: int = bounded(12, 0, strict=True, hi=0xFFFF)
     config_bytes: int = bounded(61, 0, strict=True, hi=0xFFFF)
-    config_period: float = bounded(300.0, 0, strict=True)
+    config_period: float = seconds(300.0, strict=True)
 
 
 @dataclass(frozen=True)
@@ -93,9 +88,8 @@ class ScenarioConfig(Checked):
     topology: str = "random-grid"
     grid_side: float = bounded(1000.0, 0, strict=True)
     concentrator_distance: float = 250.0  # used by distance-line layouts
-    # seconds; the baseline campaign length
-    duration: float = bounded(28800.0, 0, strict=True, hi=MAX_DURATION)
-    warmup: float = bounded(120.0, 0)  # metrics ignore packets created before this
+    duration: float = seconds(28800.0, strict=True)  # the baseline campaign length
+    warmup: float = seconds(120.0)  # metrics ignore packets created before this
     seed: int = 1
     traffic_enabled: bool = True
     removals: tuple[tuple[float, int], ...] = ()  # scripted (time_s, addr) failures
@@ -127,7 +121,7 @@ class ScenarioConfig(Checked):
                     f"line spacing {spacing:.0f} m exceeds {MAX_LINE_SPACING:.0f} m; "
                     "raise node_count to keep the line connected")
         for time_s, addr in self.removals:
-            if not 0 <= time_s < math.inf or not 0 < addr < self.node_count:
+            if not 0 <= time_s <= MAX_DURATION or not 0 < addr < self.node_count:
                 raise ConfigError(f"bad removal entry ({time_s}, {addr})")
 
     def cfg_id(self) -> str:

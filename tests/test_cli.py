@@ -144,8 +144,23 @@ def test_cli_runs_the_published_distance_campaign(tmp_path, capsys):
     "[traffic]\nreport_bytes = 2147483648\n",
     "[scenario]\nnode_count = 5\nduration = 300\nbackend = rpl\n"
     "[rpl]\ndio_interval_doublings = 100000000000\n",
+    # a time in seconds past MAX_DURATION; unbounded, to_ticks would
+    # overflow converting it, or a timer built from it, to ticks
+    "[scenario]\nnode_count = 5\nduration = 300\n"
+    "[loadng]\nroute_lifetime = 1e303\n",
+    "[scenario]\nnode_count = 5\nduration = 300\nbackend = rpl\n"
+    "[rpl]\ndio_interval_min = 1e303\n",
+    "[scenario]\nnode_count = 5\nduration = 300\n[mac]\nbackoff_unit = 1e303\n",
+    "[scenario]\nnode_count = 5\nduration = 300\nbackend = loadng-ctp\n"
+    "[ctp]\nrebuild_interval = 1e303\n",
+    "[scenario]\nnode_count = 5\nduration = 300\nbackend = loadng-ctp\n"
+    "[ctp]\nhello_min_jitter = 1e303\nhello_max_jitter = 1e303\n",
+    "[scenario]\nnode_count = 5\nduration = 300\nwarmup = 1e303\n",
+    "[scenario]\nnode_count = 5\nduration = 300\nremovals = 1e303:3\n",
 ], ids=["jitter-rule", "unplaceable", "backoff-exponent", "retries",
-        "sub-tick-window", "payload-bytes", "dio-doublings"])
+        "sub-tick-window", "payload-bytes", "dio-doublings", "route-lifetime",
+        "dio-interval-min", "backoff-unit", "rebuild-interval", "hello-jitter",
+        "warmup", "removal-time"])
 def test_cli_reports_bad_configuration_on_exit_code_two(tmp_path, capsys, text):
     ini = tmp_path / "bad.ini"
     ini.write_text(text)

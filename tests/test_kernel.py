@@ -78,9 +78,9 @@ def test_zero_delay_events_keep_their_place_around_a_reserved_send():
     fired = []
 
     def at_ten():
-        sim.schedule_in(0, lambda: fired.append("before"))
+        sim.schedule_at(sim.now, lambda: fired.append("before"))
         order = sim.reserve(1)
-        sim.schedule_in(0, lambda: fired.append("after"))
+        sim.schedule_at(sim.now, lambda: fired.append("after"))
         sim.schedule_reserved(10, order, lambda: fired.append("reserved"))
     sim.schedule_at(10, at_ten)
     sim.run_until(10)
@@ -179,7 +179,8 @@ def _fire_order(timeline, lazy: bool, kernel=Simulator) -> list:
         def fire():
             log.append((sim.now, tag))
             for j, delay in enumerate(follow_ups):
-                sim.schedule_in(delay, event((tag, j), follow_ups[j + 1:]))
+                sim.schedule_at(sim.now + delay,
+                                event((tag, j), follow_ups[j + 1:]))
         return fire
 
     for j, (t, follow) in enumerate(before):

@@ -16,7 +16,7 @@ from llnsim.metrics import (BUFFER_OVERFLOW, DELIVERED, DISCOVERY_TIMEOUT,
                             DOWN, MAC_DROP, UP)
 from llnsim.network import Network
 from llnsim.radio import Frame, KIND_CONTROL, KIND_DATA, Position
-from llnsim.scenario import ScenarioConfig
+from llnsim.scenario import CtpParams, ScenarioConfig
 
 from conftest import (CALM_LOADNG, bfs_hops, chain_positions, control_rows,
                       inject, quiet_cfg, random_connected_positions)
@@ -97,15 +97,21 @@ def test_flood_keys_are_forgotten_a_hold_time_after_first_seen():
 
 
 def test_reports_survive_sequence_wraparound(monkeypatch):
-    # with a 256-value sequence space the originators wrap within the run;
-    # stale duplicate keys would then swallow fresh floods
-    cfg = ScenarioConfig(backend="loadng", node_count=20, duration=600.0,
-                         seed=1)
-    plain = Network(cfg).run()
-    assert max(e.seq for e in plain.nodes.values()) > 256
+    # with a 256-value sequence space the originators wrap within each run;
+    # stale duplicate keys would then swallow fresh floods.  A collection
+    # tree rebuilt every 25 s wraps the root's trigger and build floods too
+    configs = [ScenarioConfig(backend="loadng", node_count=20, duration=600.0,
+                              seed=1),
+               ScenarioConfig(backend="loadng-ctp", node_count=20,
+                              duration=4000.0, seed=1,
+                              ctp=CtpParams(rebuild_interval=25.0))]
+    plains = [Network(cfg).run() for cfg in configs]
+    for plain in plains:
+        assert max(e.seq for e in plain.nodes.values()) > 256
     monkeypatch.setattr(messages, "SEQ_MOD", 256)
     monkeypatch.setattr(messages, "SEQ_HALF", 128)
-    assert Network(cfg).run().report == plain.report
+    for cfg, plain in zip(configs, plains):
+        assert Network(cfg).run().report == plain.report
 
 
 def test_rrep_with_no_reverse_route_is_dropped_and_counted():
@@ -199,12 +205,12 @@ def test_forwarder_break_reports_rerr_to_source_which_rediscovers():
 
 def test_break_with_no_matching_routes_raises_no_rerr():
     net = _chain_net()
-    pkt = net.metrics.new_packet(1, 9, 512, UP, "report", 0)
+    pkt = net.metrics.records.open(1, 9, 512, UP, "report", 0)
 
     def poke():
         from llnsim.radio import Frame, KIND_DATA
         net.nodes[1].on_broken_link(Frame(1, 9, 512, KIND_DATA, "d", None, pkt))
-        net.metrics.dropped(pkt, MAC_DROP)
+        net.metrics.records.settle(pkt, MAC_DROP)
 
     net.sim.schedule_at(to_ticks(1.0), poke)
     result = net.run()
@@ -217,11 +223,11 @@ def test_broken_link_drops_exactly_the_routes_via_the_lost_neighbor():
     node = net.nodes[1]
     for dest, hop in ((9, 2), (0, 0), (7, 2), (8, 0)):
         node.routes[dest] = RoutingTuple(hop, 1, 1, None, SYM)
-    pkt = net.metrics.new_packet(0, 9, 512, DOWN, "config", 0)
+    pkt = net.metrics.records.open(0, 9, 512, DOWN, "config", 0)
 
     def poke():
         node.on_broken_link(Frame(1, 2, 512, KIND_DATA, "d", None, pkt))
-        net.metrics.dropped(pkt, MAC_DROP)
+        net.metrics.records.settle(pkt, MAC_DROP)
 
     net.sim.schedule_at(to_ticks(1.0), poke)
     result = net.run()

@@ -33,12 +33,12 @@ WARM = to_ticks(120.0)
 def _fill(collector, spec):
     """spec rows: (direction, created_s, delivered_s | fate)."""
     for direction, created, outcome in spec:
-        pkt = collector.new_packet(1, 0, 512, direction, "report",
-                                   to_ticks(created))
+        pkt = collector.records.open(1, 0, 512, direction, "report",
+                                     to_ticks(created))
         if isinstance(outcome, str):
-            collector.dropped(pkt, outcome)
+            collector.records.settle(pkt, outcome)
         elif outcome is not None:
-            collector.delivered(pkt, to_ticks(outcome))
+            collector.records.settle(pkt, DELIVERED, to_ticks(outcome))
     return collector.records
 
 
@@ -199,17 +199,18 @@ def test_control_log_reads_back_rows_across_sealed_chunks(small_chunks, n):
 
 def _open(c, i):
     """Packet i of a sealing test, opened with fields that vary per pid."""
-    pkt = c.new_packet(i % 7, 59 - i % 7, 100 + i, UP if i % 2 else DOWN,
-                       "ack" if i % 3 else "report", to_ticks(28_000.0) + 5 * i)
+    pkt = c.records.open(i % 7, 59 - i % 7, 100 + i, UP if i % 2 else DOWN,
+                         "ack" if i % 3 else "report",
+                         to_ticks(28_000.0) + 5 * i)
     pkt.hops = i % 4
     return pkt
 
 
 def _settle(c, pkt):
     if pkt.pid % 5:
-        c.delivered(pkt, pkt.created_at + 16896 + pkt.pid)
+        c.records.settle(pkt, DELIVERED, pkt.created_at + 16896 + pkt.pid)
     else:
-        c.dropped(pkt, (MAC_DROP, NO_ROUTE)[pkt.pid % 2])
+        c.records.settle(pkt, (MAC_DROP, NO_ROUTE)[pkt.pid % 2])
 
 
 FATES = (DELIVERED, MAC_DROP, NO_ROUTE, DISCOVERY_TIMEOUT, BUFFER_OVERFLOW,
@@ -276,7 +277,7 @@ def test_a_live_packet_holds_back_no_sealing(small_chunks):
     assert sealed_chunks(c.records) == 3 and list(c.records.live) == [K + 1]
     _same_as(c.records, oracle + [held])
     assert c.records[-1] is held
-    c.delivered(held, held.created_at + 1)
+    c.records.settle(held, DELIVERED, held.created_at + 1)
     oracle.append(held)
     oracle.append(_open(c, 4 * K))
     _settle(c, oracle[-1])
@@ -320,9 +321,9 @@ def test_packet_log_agrees_with_a_list_of_its_packets(ops):
             elif live:
                 pkt = live[x % len(live)]
                 if op == "deliver":
-                    c.delivered(pkt, pkt.created_at + x)
+                    c.records.settle(pkt, DELIVERED, pkt.created_at + x)
                 else:
-                    c.dropped(pkt, FATES[1 + x % 4])
+                    c.records.settle(pkt, FATES[1 + x % 4])
                 settled.append(pkt)
         log = c.records
         live = [p for p in opened if p.fate is None]
@@ -362,17 +363,17 @@ def test_sealed_logs_read_back_extreme_64_bit_values(small_chunks, control,
     c = MetricsCollector(0)
     opened = []
     for src, dst, payload, created, _, hops, _ in packets:
-        pkt = c.new_packet(src, dst, payload, UP if hops % 2 else DOWN,
-                           "report", created)
+        pkt = c.records.open(src, dst, payload, UP if hops % 2 else DOWN,
+                             "report", created)
         pkt.hops = hops
         opened.append(pkt)
     # settled in the order of the last field, so pids need not rise
     order = sorted(range(len(packets)), key=lambda i: packets[i][-1])
     for i in order:
         if packets[i][4] is None:
-            c.dropped(opened[i], MAC_DROP)
+            c.records.settle(opened[i], MAC_DROP)
         else:
-            c.delivered(opened[i], packets[i][4])
+            c.records.settle(opened[i], DELIVERED, packets[i][4])
     settled = [opened[i] for i in order]
     assert sealed_chunks(c.records) == len(packets) // K
     _same_as(c.records, settled)
@@ -397,26 +398,26 @@ def test_an_rpl_run_seals_its_logs_into_few_bytes_a_row():
 
 def test_collector_rejects_double_resolution():
     c = MetricsCollector(0)
-    pkt = c.new_packet(1, 0, 512, UP, "report", 0)
-    c.delivered(pkt, 5)
+    pkt = c.records.open(1, 0, 512, UP, "report", 0)
+    c.records.settle(pkt, DELIVERED, 5)
     with pytest.raises(SimulationError):
-        c.delivered(pkt, 6)
+        c.records.settle(pkt, DELIVERED, 6)
     with pytest.raises(SimulationError):
-        c.dropped(pkt, MAC_DROP)
+        c.records.settle(pkt, MAC_DROP)
 
 
 def test_close_sweeps_unresolved_packets_into_in_flight():
     c = MetricsCollector(0)
-    done = c.new_packet(1, 0, 512, UP, "report", 0)
-    c.delivered(done, 5)
-    held = c.new_packet(2, 0, 512, UP, "report", 3)  # still held at the end
+    done = c.records.open(1, 0, 512, UP, "report", 0)
+    c.records.settle(done, DELIVERED, 5)
+    held = c.records.open(2, 0, 512, UP, "report", 3)  # still held at the end
     with pytest.raises(SimulationError):
         c.assert_conserved()
     c.close([held, done])
     c.assert_conserved()
     assert [p.fate for p in c.records] == [DELIVERED, IN_FLIGHT]
     # a packet no node holds has leaked: it keeps no fate and the check aborts
-    c.new_packet(3, 0, 512, UP, "report", 4)
+    c.records.open(3, 0, 512, UP, "report", 4)
     c.close([held])
     with pytest.raises(SimulationError):
         c.assert_conserved()
@@ -425,7 +426,7 @@ def test_close_sweeps_unresolved_packets_into_in_flight():
 def test_a_packet_no_node_holds_aborts_the_run():
     net = Network(quiet_cfg(node_count=3, duration=30.0, warmup=0.0),
                   chain_positions(3))
-    net.metrics.new_packet(2, 0, 512, UP, "report", 0)
+    net.metrics.records.open(2, 0, 512, UP, "report", 0)
     with pytest.raises(SimulationError):
         net.run()
 
@@ -450,13 +451,13 @@ def test_packets_nodes_still_hold_end_in_flight():
 def test_packet_log_reads_back_live_and_settled_packets():
     c = MetricsCollector(0)
     start = to_ticks(28_000.0)  # ticks past 2**31
-    pkts = [c.new_packet(i, 59 - i, 100 + i, UP if i % 2 else DOWN,
-                         "ack" if i % 3 else "report", start + i)
+    pkts = [c.records.open(i, 59 - i, 100 + i, UP if i % 2 else DOWN,
+                           "ack" if i % 3 else "report", start + i)
             for i in range(6)]
     pkts[0].hops = 3
-    c.delivered(pkts[0], to_ticks(28_800.0))
+    c.records.settle(pkts[0], DELIVERED, to_ticks(28_800.0))
     pkts[1].hops = 2
-    c.dropped(pkts[1], MAC_DROP)
+    c.records.settle(pkts[1], MAC_DROP)
     c.close([pkts[4]])
     log = c.records
     rows = [astuple(p) for p in pkts]
@@ -486,11 +487,11 @@ def test_packet_log_reads_back_live_and_settled_packets():
 
 def test_an_unknown_fate_is_rejected_by_name():
     c = MetricsCollector(0)
-    pkt = c.new_packet(1, 0, 512, UP, "report", 0)
+    pkt = c.records.open(1, 0, 512, UP, "report", 0)
     with pytest.raises(SimulationError, match="lost-in-space"):
-        c.dropped(pkt, "lost-in-space")
+        c.records.settle(pkt, "lost-in-space")
     assert pkt.fate is None and c.records[0] is pkt  # still unresolved
-    c.dropped(pkt, NO_ROUTE)
+    c.records.settle(pkt, NO_ROUTE)
     c.assert_conserved()
 
 
@@ -500,29 +501,29 @@ def test_an_unknown_fate_is_rejected_by_name():
 def test_packet_log_refuses_values_it_cannot_hold(packet):
     src, dst, payload, now = packet
     c = MetricsCollector(0)
-    c.delivered(c.new_packet(3, 0, 512, UP, "report", 1), 2)
-    pkt = c.new_packet(src, dst, payload, UP, "report", now)
+    c.records.settle(c.records.open(3, 0, 512, UP, "report", 1), DELIVERED, 2)
+    pkt = c.records.open(src, dst, payload, UP, "report", now)
     # its row is written when it settles
-    _refused_settle(c, pkt, lambda: c.dropped(pkt, MAC_DROP))
+    _refused_settle(c, pkt, lambda: c.records.settle(pkt, MAC_DROP))
 
 
 def test_packet_log_refuses_a_settled_value_it_cannot_hold():
     c = MetricsCollector(0)
-    c.delivered(c.new_packet(3, 0, 512, UP, "report", 1), 2)
-    pkt = c.new_packet(1, 0, 512, UP, "report", 0)
+    c.records.settle(c.records.open(3, 0, 512, UP, "report", 1), DELIVERED, 2)
+    pkt = c.records.open(1, 0, 512, UP, "report", 0)
     pkt.hops = 2**31
-    _refused_settle(c, pkt, lambda: c.dropped(pkt, MAC_DROP))
-    pkt = c.new_packet(1, 0, 512, UP, "report", 0)
-    _refused_settle(c, pkt, lambda: c.delivered(pkt, 2**63))
+    _refused_settle(c, pkt, lambda: c.records.settle(pkt, MAC_DROP))
+    pkt = c.records.open(1, 0, 512, UP, "report", 0)
+    _refused_settle(c, pkt, lambda: c.records.settle(pkt, DELIVERED, 2**63))
 
 
 def test_packet_log_refuses_a_257th_name():
     c = MetricsCollector(0)
     for i in range(254):  # 255 names with UP
-        c.dropped(c.new_packet(1, 0, 512, UP, f"kind{i}", 0), MAC_DROP)
-    c.dropped(c.new_packet(1, 0, 512, UP, "kind254", 0), MAC_DROP)  # the 256th
-    pkt = c.new_packet(1, 0, 512, UP, "kind255", 0)
-    _refused_settle(c, pkt, lambda: c.dropped(pkt, MAC_DROP))
+        c.records.settle(c.records.open(1, 0, 512, UP, f"kind{i}", 0), MAC_DROP)
+    c.records.settle(c.records.open(1, 0, 512, UP, "kind254", 0), MAC_DROP)  # 256th
+    pkt = c.records.open(1, 0, 512, UP, "kind255", 0)
+    _refused_settle(c, pkt, lambda: c.records.settle(pkt, MAC_DROP))
 
 
 def _refused_settle(c, pkt, settle):
@@ -538,8 +539,8 @@ def _refused_settle(c, pkt, settle):
     assert pkt.fate is None and c.records.live[pkt.pid] is pkt
     assert len(c.records) == len(before) and rows() == before
     first = c.records[0]
-    nxt = c.new_packet(2, 0, 61, first.direction, first.kind, 5)
-    c.delivered(nxt, 9)
+    nxt = c.records.open(2, 0, 61, first.direction, first.kind, 5)
+    c.records.settle(nxt, DELIVERED, 9)
     assert nxt.pid == len(before) and rows() == before + [astuple(nxt)]
     with pytest.raises(SimulationError, match=f"violated for {pkt.direction}"):
         c.assert_conserved()
@@ -554,12 +555,12 @@ def test_packet_log_holds_a_settled_row_in_at_most_48_bytes():
     try:
         before = tracemalloc.get_traced_memory()[0]
         for i in range(n):
-            pkt = c.new_packet(1 + i % 59, 0, 512, UP, "report", start + i)
+            pkt = c.records.open(1 + i % 59, 0, 512, UP, "report", start + i)
             pkt.hops = 1 + i % 5
             if i % 10:
-                c.delivered(pkt, start + i + 16896)
+                c.records.settle(pkt, DELIVERED, start + i + 16896)
             else:
-                c.dropped(pkt, MAC_DROP)
+                c.records.settle(pkt, MAC_DROP)
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

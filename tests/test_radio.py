@@ -344,8 +344,8 @@ class StampMedium:
                          else stamp[nbr])
             hearing[nbr] += 1
         airtime = Medium.airtime_ticks(self, frame.payload_bytes)
-        self.sim.schedule_in(
-            airtime, lambda: self._finish(sender, frame, links, marks, on_done))
+        self.sim.schedule_at(self.sim.now + airtime, lambda: self._finish(
+            sender, frame, links, marks, on_done))
 
     def _finish(self, sender, frame, links, marks, on_done):
         self._transmitting.discard(sender)

@@ -241,7 +241,7 @@ def test_pending_events_stay_bounded_through_a_long_run():
 
     def probe():
         samples.append(net.sim.pending())
-        net.sim.schedule_in(to_ticks(60.0), probe)
+        net.sim.schedule_at(net.sim.now + to_ticks(60.0), probe)
     net.sim.schedule_at(0, probe)
     net.run()
     assert len(samples) == 121  # every minute, both ends included

@@ -73,19 +73,18 @@ class _Table:
 
     def append(self, row: tuple) -> None:
         """Write one row, a value per column, and seal a full chunk.  A value
-        its column refuses (out of range, or not an int) raises and leaves
-        every column as it was: the last column, written last, is untouched
-        and gives the length to cut the others back to."""
+        its column refuses (out of range, or not an int), or a difference
+        the seal cannot store, raises and leaves every column as it was."""
+        n = len(self.columns[0])
         try:
             # array.append returns None, so any() runs the map to its end
             any(map(array.append, self.columns, row))
+            if n + 1 >= self.chunk_rows:
+                self.seal()
         except (OverflowError, TypeError):
-            n = len(self.columns[-1])
             for col in self.columns:
                 del col[n:]
             raise
-        if len(self.columns[0]) >= self.chunk_rows:
-            self.seal()
 
     def seal(self) -> None:
         """Compress the first chunk_rows rows into one chunk; drop them."""
@@ -135,8 +134,8 @@ class ControlLog:
     size past 2**31) raises OverflowError, which aborts the run, rather than
     wrapping, and leaves the log as it was.  A tick must lie in [-1, 2**62),
     as every tick of a run does: sealing stores differences of ticks, and
-    past that range one may not fit in 64 bits, so seal would raise with the
-    row kept and the log could not seal again.
+    past that range one may not fit in 64 bits; a row whose seal fails is
+    refused the same way.
     """
 
     __slots__ = ("_table",)
@@ -187,7 +186,7 @@ class PacketLog(Sequence):
     order; a slice is a list.  A value out of its column's range raises
     OverflowError at settle, as in ControlLog, and the packet stays live
     without a fate.  Its ticks must lie in [-1, 2**62), as in ControlLog:
-    past that, seal may raise with the row kept and the packet still live.
+    past that, a row whose seal fails is refused the same way.
     """
 
     __slots__ = ("live", "_table")

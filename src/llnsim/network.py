@@ -125,7 +125,7 @@ class Network:
         self.nodes[at_addr].handle_app_send(ack)
 
     def remove_node(self, addr: int) -> None:
-        self.nodes[addr].kill()
+        self.nodes[addr].mac.dead = True
         self.medium.remove_node(addr)
 
     # -- reporting -------------------------------------------------------------

@@ -29,9 +29,6 @@ class NodeEngine:
     def start(self) -> None:
         """Called once at t=0 before any traffic."""
 
-    def kill(self) -> None:
-        self.mac.dead = True
-
     def held_packets(self) -> list:
         """Application packets this node holds: its queued data frames."""
         return [f.packet for f in self.mac.queue if f.kind == KIND_DATA]

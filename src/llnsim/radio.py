@@ -207,7 +207,10 @@ class Medium:
 
 class NodeMac:
     """Per-node CSMA queue: carrier sense, binary-exponential backoff, and
-    acked retransmission for unicast frames.  Broadcast goes out once."""
+    acked retransmission for unicast frames.  Broadcast goes out once.  A live
+    MAC has one attempt pending, or its head frame on the air, exactly while
+    its queue is not empty; a resolved frame leaves the queue and the next
+    attempt is scheduled before on_result runs, so on_result may enqueue."""
 
     def __init__(self, sim: Simulator, medium: Medium, addr: int,
                  params: MacParams, on_result) -> None:
@@ -218,7 +221,6 @@ class NodeMac:
         self.rng = sim.node_stream(addr)
         self.on_result = on_result  # fn(frame, delivered: bool) after unicast resolution
         self.queue: deque[Frame] = deque()
-        self.active = False
         self.dead = False
         self._attempt_no = 0
         self._retries = 0
@@ -239,10 +241,7 @@ class NodeMac:
             return False
         self.queue.append(frame)
         self.accepted += 1
-        if not self.active:
-            self.active = True
-            self._attempt_no = 0
-            self._retries = 0
+        if len(self.queue) == 1:
             self.sim.schedule_at(self.sim.now, self._attempt)
         return True
 
@@ -252,8 +251,7 @@ class NodeMac:
         return to_ticks(draw_uniform(self.rng, 0.0, window))
 
     def _attempt(self) -> None:
-        if self.dead or not self.queue:
-            self.active = False
+        if self.dead:
             return
         if self.medium.busy_for(self.addr):
             delay = self._backoff_ticks()
@@ -266,15 +264,8 @@ class NodeMac:
     def _tx_done(self, ok: bool) -> None:
         if self.dead:
             return
-        frame = self.queue[0]
-        if frame.dst == BROADCAST:
-            self.queue.popleft()
-            self.broadcast_done += 1
-        elif ok:
-            self.queue.popleft()
-            self.unicast_ok += 1
-            self.on_result(frame, True)
-        elif self._retries < self.params.max_retries:
+        # only a unicast can fail: the medium reports a broadcast ok
+        if not ok and self._retries < self.params.max_retries:
             # a missing ack usually means a collision that carrier sense
             # cannot prevent: two senders hidden from each other released
             # onto the same receiver.  Their frames outlast one backoff
@@ -288,16 +279,20 @@ class NodeMac:
                 self.sim.now + to_ticks(draw_uniform(self.rng, 0.0, window)),
                 self._attempt)
             return
-        else:
-            self.queue.popleft()
-            self.unicast_fail += 1
-            self.on_result(frame, False)
+        queue = self.queue
+        frame = queue.popleft()
         self._attempt_no = 0
         self._retries = 0
-        if self.queue:
+        if queue:
             self.sim.schedule_at(self.sim.now, self._attempt)
+        if frame.dst == BROADCAST:
+            self.broadcast_done += 1
+        elif ok:
+            self.unicast_ok += 1
+            self.on_result(frame, True)
         else:
-            self.active = False
+            self.unicast_fail += 1
+            self.on_result(frame, False)
 
     def conserved(self) -> bool:
         """Every admitted frame is resolved or still queued."""

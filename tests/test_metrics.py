@@ -141,6 +141,13 @@ def test_control_log_refuses_a_257th_label():
     _refused_row(log, (256, "label256", 0, 1))
 
 
+def test_control_log_refuses_a_row_whose_seal_fails(monkeypatch):
+    # the second row fills a two-row chunk, and its tick's difference from
+    # the first does not fit in 64 bits
+    monkeypatch.setattr(metrics, "CHUNK_ROWS", 2)
+    _refused_row(_control_log([(-2**62, "dio", 0, 66)]), (2**62, "dio", 0, 66))
+
+
 def _refused_row(log, row):
     """Appending row raises OverflowError and leaves the log as it was: a
     later row (with a label already seen) reads back whole, after the
@@ -523,6 +530,16 @@ def test_packet_log_refuses_a_257th_name():
         c.records.settle(c.records.open(1, 0, 512, UP, f"kind{i}", 0), MAC_DROP)
     c.records.settle(c.records.open(1, 0, 512, UP, "kind254", 0), MAC_DROP)  # 256th
     pkt = c.records.open(1, 0, 512, UP, "kind255", 0)
+    _refused_settle(c, pkt, lambda: c.records.settle(pkt, MAC_DROP))
+
+
+def test_packet_log_refuses_a_row_whose_seal_fails(monkeypatch):
+    # the second row fills a two-row chunk, and its creation tick's
+    # difference from the first does not fit in 64 bits
+    monkeypatch.setattr(metrics, "CHUNK_ROWS", 2)
+    c = MetricsCollector(0)
+    c.records.settle(c.records.open(3, 0, 512, UP, "report", -2**62), MAC_DROP)
+    pkt = c.records.open(1, 0, 512, UP, "report", 2**62)
     _refused_settle(c, pkt, lambda: c.records.settle(pkt, MAC_DROP))
 
 

@@ -253,6 +253,53 @@ def test_dead_mac_rejects_frames():
     assert h.send(0, 1) is False
 
 
+def _attempts_in_flight(h, mac):
+    """Pending _attempt events of mac, plus one if its frame is on the air."""
+    fns = [e[2] for e in h.sim._queue] + [e[1] for e in h.sim._due]
+    return fns.count(mac._attempt) + (mac.addr in h.medium._on_air)
+
+
+def test_a_frame_enqueued_by_the_result_callback_keeps_one_attempt_in_flight():
+    # 2 is out of range of 0, so frames to it fail after every retry; 1 also
+    # broadcasts at the start, so it defers while 0 sends
+    h = Harness({0: Position(0, 0), 1: Position(100, 0), 2: Position(300, 0)})
+    mac = h.macs[0]
+    frames = [Frame(0, dst, 61, KIND_DATA, str(i))
+              for i, dst in enumerate((1, 2, 1, 1, 1))]
+    # 0 is acked on an emptied queue, 1 fails on an emptied queue, and 2 is
+    # acked with 3 still queued
+    follow = {"0": frames[1:2], "1": frames[2:4], "2": frames[4:]}
+    resolved = []
+
+    def on_result(frame, delivered):
+        resolved.append((frame.label, delivered))
+        for nxt in follow.get(frame.label, ()):
+            assert mac.enqueue(nxt)
+
+    mac.on_result = on_result
+    sent = []
+    transmit = h.medium.transmit
+
+    def record(sender, frame, on_done):
+        sent.append((sender, frame.label))
+        transmit(sender, frame, on_done)
+
+    h.medium.transmit = record
+    assert mac.enqueue(frames[0]) and h.send(1, BROADCAST, 20)
+    while True:
+        for m in h.macs.values():
+            assert _attempts_in_flight(h, m) == (1 if m.queue else 0)
+            assert m.conserved()
+        if not h.sim.pending():
+            break
+        h.sim.run_until(h.sim.now if h.sim._due else h.sim._queue[0][0])
+    mine = [label for sender, label in sent if sender == 0]
+    assert mine == ["0"] + ["1"] * (1 + MacParams().max_retries) + ["2", "3", "4"]
+    assert resolved == [("0", True), ("1", False), ("2", True), ("3", True),
+                        ("4", True)]
+    assert h.macs[1].broadcast_done == 1
+
+
 def test_a_unicast_draws_at_its_destination_only_and_leaves_no_state():
     # 1, 2 and 3 are all in range of 0 over lossy links; only 1 is addressed
     h = Harness({0: Position(0, 0), 1: Position(100, 0), 2: Position(0, 120),

@@ -12,7 +12,7 @@ falls back to plain reactive discovery.
 """
 from __future__ import annotations
 
-from .kernel import to_ticks
+from .kernel import MAX_DURATION, to_ticks
 from .messages import BROADCAST, MsgKind, RouteMsg, next_seq
 from .loadng import HEARD, SYM, LoadngNode
 from .scenario import CONCENTRATOR
@@ -22,14 +22,14 @@ _TRIGGER, _BUILD, _HELLO = MsgKind.TRIGGER, MsgKind.BUILD, MsgKind.HELLO
 
 
 class CtpNode(LoadngNode):
-    # tree routes do not age out; rebuilds, not timeouts, refresh them
-    permanent_routes = True
     # a transit hop that loses its tree route repairs in place with a
     # reactive discovery instead of shedding every packet crossing it
     transit_discovery = True
 
     def __init__(self, net, addr: int) -> None:
         super().__init__(net, addr)
+        # tree routes outlive any run; rebuilds, not timeouts, refresh them
+        self.lifetime_ticks = to_ticks(MAX_DURATION)
         self.ctp = net.cfg.ctp
         self.is_root = addr == CONCENTRATOR
         self.neighbor_status: dict[int, str] = {}

@@ -28,12 +28,13 @@ _RREQ, _RREP, _RERR = MsgKind.RREQ, MsgKind.RREP, MsgKind.RERR
 
 @dataclass(slots=True)
 class RoutingTuple:
-    """The route to one destination, kept in ``LoadngNode.routes`` under it."""
+    """The route to one destination, kept in ``LoadngNode.routes`` under it;
+    it is live through the tick ``valid_until``."""
 
     next_hop: int
     metric: int  # hop count toward the destination
     seq: int  # freshness of the information that installed the tuple
-    valid_until: int | None  # tick of expiry; None never expires
+    valid_until: int
     status: str = SYM
 
 
@@ -46,8 +47,6 @@ class Discovery:
 
 
 class LoadngNode(NodeEngine):
-    # subclasses may pin routes open; reactive routes age out by default
-    permanent_routes = False
     # subclasses may let transit hops repair a missing route in place
     transit_discovery = False
 
@@ -93,15 +92,13 @@ class LoadngNode(NodeEngine):
     def _route(self, dest: int) -> RoutingTuple | None:
         """The route to dest, or None; an expired route is deleted here."""
         tup = self.routes.get(dest)
-        if (tup is not None and tup.valid_until is not None
-                and tup.valid_until < self.sim.now):
+        if tup is not None and tup.valid_until < self.sim.now:
             del self.routes[dest]
             return None
         return tup
 
     def _forward_data(self, pkt, tup: RoutingTuple) -> None:
-        if tup.valid_until is not None:
-            tup.valid_until = self.sim.now + self.lifetime_ticks
+        tup.valid_until = self.sim.now + self.lifetime_ticks
         self.send_data(pkt, tup.next_hop)
 
     def _buffer_and_discover(self, pkt) -> None:
@@ -148,9 +145,8 @@ class LoadngNode(NodeEngine):
         if cur is not None and not (seq_newer(seq, cur.seq)
                                     or (seq == cur.seq and metric < cur.metric)):
             return False
-        valid_until = (None if self.permanent_routes
-                       else self.sim.now + self.lifetime_ticks)
-        self.routes[dest] = RoutingTuple(next_hop, metric, seq, valid_until)
+        self.routes[dest] = RoutingTuple(next_hop, metric, seq,
+                                         self.sim.now + self.lifetime_ticks)
         self._route_available(dest)
         return True
 
@@ -198,10 +194,8 @@ class LoadngNode(NodeEngine):
         if cur is None or (cur.status != SYM
                            and (metric < cur.metric if seq == cur.seq
                                 else seq_newer(seq, cur.seq))):
-            valid_until = (None if self.permanent_routes
-                           else self.sim.now + self.lifetime_ticks)
-            self.routes[orig] = RoutingTuple(prev_hop, metric, seq,
-                                             valid_until, HEARD)
+            self.routes[orig] = RoutingTuple(
+                prev_hop, metric, seq, self.sim.now + self.lifetime_ticks, HEARD)
         if not self._first_or_better((orig, seq), metric):
             return  # duplicate with no better path
         if m.destination == self.addr:

@@ -103,19 +103,16 @@ class _Table:
     def __len__(self) -> int:
         return len(self._sealed) * self.chunk_rows + len(self.columns[0])
 
-    def chunk(self, k: int) -> Sequence[array]:
-        """The columns of chunk k, inflated; past the sealed ones, the raw."""
-        if k == len(self._sealed):
-            return self.columns
-        columns = []
-        for col, data in zip(self.columns, self._sealed[k]):
-            values = array(col.typecode, zlib.decompress(data))
-            columns.append(array("q", accumulate(values))
-                           if col.typecode == "q" else values)
-        return columns
-
     def chunks(self) -> Iterator[Sequence[array]]:
-        return map(self.chunk, range(len(self._sealed) + 1))
+        """The columns of each sealed chunk in order, inflated; then the raw."""
+        for sealed in self._sealed:
+            columns = []
+            for col, data in zip(self.columns, sealed):
+                values = array(col.typecode, zlib.decompress(data))
+                columns.append(array("q", accumulate(values))
+                               if col.typecode == "q" else values)
+            yield columns
+        yield self.columns
 
     def __iter__(self) -> Iterator[tuple]:
         for columns in self.chunks():
@@ -169,7 +166,7 @@ def _revive(row: tuple, names: list[str]) -> PacketRecord:
                         _FATE_BY_ID[fid], hops)
 
 
-class PacketLog(Sequence):
+class PacketLog:
     """Every application packet of a run: settled rows in a sealed table,
     unresolved packets as live objects.
 
@@ -183,10 +180,11 @@ class PacketLog(Sequence):
     packet held to the end of the run holds back no sealing.  Reading the
     log yields the settled packets in the order they settled, as fresh
     PacketRecords, then the unresolved ones, the live objects, in pid
-    order; a slice is a list.  A value out of its column's range raises
-    OverflowError at settle, as in ControlLog, and the packet stays live
-    without a fate.  Its ticks must lie in [-1, 2**62), as in ControlLog:
-    past that, a row whose seal fails is refused the same way.
+    order.  An index or a slice reads through that iteration, a pass over
+    the whole log; the run itself never indexes it.  A value out of its
+    column's range raises OverflowError at settle, as in ControlLog, and the
+    packet stays live without a fate.  Its ticks must lie in [-1, 2**62), as
+    in ControlLog: past that, a row whose seal fails is refused the same way.
     """
 
     __slots__ = ("live", "_table")
@@ -225,15 +223,7 @@ class PacketLog(Sequence):
 
     def __getitem__(self, index: int | slice
                     ) -> PacketRecord | list[PacketRecord]:
-        if isinstance(index, slice):
-            return list(self)[index]
-        i = range(len(self))[index]
-        settled = len(self._table)
-        if i >= settled:
-            return list(self.live.values())[i - settled]
-        k, i = divmod(i, self._table.chunk_rows)
-        return _revive([col[i] for col in self._table.chunk(k)],
-                       list(self._table.names))
+        return list(self)[index]
 
     def __iter__(self) -> Iterator[PacketRecord]:
         yield from map(_revive, self._table, repeat(list(self._table.names)))

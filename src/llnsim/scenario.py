@@ -299,12 +299,16 @@ def _parse_removals(text: str) -> tuple[tuple[float, int], ...]:
 
 def load_scenario(path: str) -> tuple[ScenarioConfig, dict]:
     """Parse a scenario file; returns (config, sweep-section key/values)."""
-    parser = configparser.ConfigParser()
+    # plain INI: a value is taken as written, with no % interpolation, and a
+    # [DEFAULT] section is refused as unknown, since no header can name ""
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"scenario file is not UTF-8: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed scenario file: {exc}") from None
 

@@ -157,13 +157,25 @@ def test_cli_runs_the_published_distance_campaign(tmp_path, capsys):
     "[ctp]\nhello_min_jitter = 1e303\nhello_max_jitter = 1e303\n",
     "[scenario]\nnode_count = 5\nduration = 300\nwarmup = 1e303\n",
     "[scenario]\nnode_count = 5\nduration = 300\nremovals = 1e303:3\n",
+    # a value is taken as written: % is no interpolation syntax to trip on
+    "[scenario]\nbackend = rpl%\n",
+    "[radio]\np_edge = 50%\n",
+    "[sweep]\nbackend = rpl%(x)s\n",
+    # [DEFAULT] is an unknown section, not defaults merged into every other
+    "[DEFAULT]\nduration = 60\n",
+    "[DEFAULT]\nnode_count = 3\n[scenario]\nduration = 300\n",
+    b"\xff\xfe\x00[scenario]\n",
 ], ids=["jitter-rule", "unplaceable", "backoff-exponent", "retries",
         "sub-tick-window", "payload-bytes", "dio-doublings", "route-lifetime",
         "dio-interval-min", "backoff-unit", "rebuild-interval", "hello-jitter",
-        "warmup", "removal-time"])
+        "warmup", "removal-time", "percent-scenario", "percent-radio",
+        "percent-sweep", "default-alone", "default-merged", "not-utf-8"])
 def test_cli_reports_bad_configuration_on_exit_code_two(tmp_path, capsys, text):
     ini = tmp_path / "bad.ini"
-    ini.write_text(text)
+    if isinstance(text, bytes):
+        ini.write_bytes(text)
+    else:
+        ini.write_text(text)
     rc = cli.main(["--scenario", str(ini)])
     captured = capsys.readouterr()
     assert rc == cli.EXIT_BAD_CONFIG

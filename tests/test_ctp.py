@@ -61,10 +61,12 @@ def test_chain_tree_matches_bfs_and_counts_one_flood_each():
     result = net.run()
     oracle = bfs_hops(net.positions, net.cfg.radio, 0)
     for addr in (1, 2):
-        tup = net.nodes[addr].routes.get(0)
-        assert tup.status == SYM
-        assert tup.valid_until is None  # tree routes never age out
-        assert tup.metric == oracle[addr]
+        # the build installs the upward route, the tree RREP the root's
+        # downward one
+        for tup in (net.nodes[addr].routes.get(0), net.nodes[0].routes.get(addr)):
+            assert tup.status == SYM
+            assert tup.valid_until > net.end_ticks  # tree routes never age out
+            assert tup.metric == oracle[addr]
     assert net.nodes[2].routes.get(0).next_hop == 1
     assert len(control_rows(result, "rreq_trigger")) == 3
     assert len(control_rows(result, "hello")) == 3

@@ -24,6 +24,8 @@ from conftest import (CALM_LOADNG, bfs_hops, chain_positions, control_rows,
 # seed under which the three-hop branch of the improvement layout wins the
 # jitter race, so the two-hop copy lands second as a strict improvement
 IMPROVE_SEED = 2
+# an expiry tick past the end of any run: the route outlives the test
+NEVER = 2**62
 
 
 def _chain_net(n=3, duration=60.0, seed=1, **overrides):
@@ -222,7 +224,7 @@ def test_broken_link_drops_exactly_the_routes_via_the_lost_neighbor():
     net = _chain_net()
     node = net.nodes[1]
     for dest, hop in ((9, 2), (0, 0), (7, 2), (8, 0)):
-        node.routes[dest] = RoutingTuple(hop, 1, 1, None, SYM)
+        node.routes[dest] = RoutingTuple(hop, 1, 1, NEVER, SYM)
     pkt = net.metrics.records.open(0, 9, 512, DOWN, "config", 0)
 
     def poke():
@@ -239,14 +241,14 @@ def test_broken_link_drops_exactly_the_routes_via_the_lost_neighbor():
 def test_rerr_invalidates_only_tuples_via_its_sender():
     net = _chain_net()
     routes = net.nodes[1].routes
-    routes[9] = RoutingTuple(2, 1, 1, None, SYM)
-    routes[8] = RoutingTuple(0, 1, 1, None, SYM)
+    routes[9] = RoutingTuple(2, 1, 1, NEVER, SYM)
+    routes[8] = RoutingTuple(0, 1, 1, NEVER, SYM)
     msg = RouteMsg(MsgKind.RERR, originator=2, destination=1, unreachable=9)
     net.nodes[1]._process_rerr(msg, prev_hop=2)
     assert routes.get(9) is None
     assert routes.get(8) is not None
     # same announcement from a node that is not the next hop changes nothing
-    routes[9] = RoutingTuple(2, 1, 1, None, SYM)
+    routes[9] = RoutingTuple(2, 1, 1, NEVER, SYM)
     net.nodes[1]._process_rerr(msg, prev_hop=0)
     assert routes.get(9) is not None
 
@@ -393,10 +395,8 @@ def _reference_rreq(node, m: RouteMsg, prev_hop: int) -> None:
         or not (messages.seq_newer(m.seq, cur.seq)
                 or (m.seq == cur.seq and metric < cur.metric)))
     if not refused:
-        valid_until = (None if node.permanent_routes
-                       else node.sim.now + node.lifetime_ticks)
-        node.routes[m.originator] = RoutingTuple(prev_hop, metric, m.seq,
-                                                 valid_until, HEARD)
+        node.routes[m.originator] = RoutingTuple(
+            prev_hop, metric, m.seq, node.sim.now + node.lifetime_ticks, HEARD)
     if not node._first_or_better((m.originator, m.seq), metric):
         return
     if m.destination == node.addr:
